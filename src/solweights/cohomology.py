@@ -34,7 +34,7 @@ from .groups import (
     quotient_group,
     sylow_subgroup,
 )
-from .linalg import det, exterior_square, fixed_space, mat_vec, transpose
+from .linalg import det, exterior_square, fixed_space, identity, mat_vec, rref, transpose
 
 PATHS = (
     "cyclic-sylow-vanishing",
@@ -166,19 +166,9 @@ def _dual(p: int, m: list[list[int]]) -> list[list[int]]:
     fixed spaces, so the transpose of the matrix works equally; we use the
     honest contragredient for definiteness)."""
     n = len(m)
-    # invert over GF(p)
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if aug[i][c] % p)
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = pow(aug[c][c], -1, p)
-        aug[c] = [(x * inv) % p for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] % p:
-                coeff = aug[i][c]
-                aug[i] = [(aug[i][j] - coeff * aug[c][j]) % p for j in range(2 * n)]
-    minv = [row[n:] for row in aug]
-    return transpose(minv)
+    # invert over GF(p): [m | I] reduces to [I | m^-1]
+    reduced, _ = rref(p, [list(row) + e for row, e in zip(m, identity(n))])
+    return transpose([row[n:] for row in reduced])
 
 
 def h2_module_matrices(p: int, mats: list[list[list[int]]], rank: int):

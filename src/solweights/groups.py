@@ -5,7 +5,7 @@ multiplication, inversion and identity for one element kind:
 
 * ``PermAction(n)`` -- permutations of 0..n-1 as image tuples,
 * ``MatrixAction(field)`` -- 2x2 matrices over a finite field as flat
-  entry tuples (row major), determinant constraint recorded,
+  entry tuples (row major),
 * ``CentralTripleAction(field)`` -- triples of 2x2 matrices together with a
   permutation of three coordinates, stored modulo the central sign
   identification (m1, m2, m3, pi) ~ (-m1, -m2, -m3, pi); of the two
@@ -20,7 +20,7 @@ pure function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     CapExceeded,
@@ -75,9 +75,8 @@ class MatrixAction:
 
     kind = "matrix"
 
-    def __init__(self, field: FiniteField, det: int | None = 1):
+    def __init__(self, field: FiniteField):
         self.field = field
-        self.det = det  # recorded determinant constraint, not enforced per op
         self.identity: Element = (1, 0, 0, 1)
 
     def mul(self, x: Element, y: Element) -> Element:
@@ -102,11 +101,6 @@ class MatrixAction:
             f.mul(f.neg(c), di),
             f.mul(a, di),
         )
-
-    def determinant(self, x: Element) -> int:
-        f = self.field
-        a, b, c, d = x
-        return f.sub(f.mul(a, d), f.mul(b, c))
 
     def __repr__(self):
         return f"MatrixAction({self.field!r})"
@@ -224,6 +218,7 @@ class FiniteGroup:
         self.name = name
         self.marks = marks or {}
         self._classes: list[ConjClass] | None = None
+        self._class_table: list[int] | None = None
         self._center: FiniteGroup | None = None
         self._derived: FiniteGroup | None = None
         self._sylow: dict[int, FiniteGroup] = {}
@@ -345,78 +340,75 @@ class FiniteGroup:
 
 
 # ---------------------------------------------------------------------------
-# conjugacy classes, centralizers, normalizers
+# orbits and stabilizers
 # ---------------------------------------------------------------------------
 
 
+def _orbit(start, generators: Sequence, act: Callable,
+           cap: int | None = None) -> tuple[list, list[tuple[int, ...]]]:
+    """Breadth-first orbit of a point under act(point, g), g in generators.
+
+    Returns the points in the order found and, for each generator, the
+    permutation it induces on them as the tuple of image positions.
+    """
+    points = [start]
+    position = {start: 0}
+    perms: list[list[int]] = [[] for _ in generators]
+    for point in points:  # points grows during the walk
+        for g, perm in zip(generators, perms):
+            image = act(point, g)
+            j = position.get(image)
+            if j is None:
+                j = position[image] = len(points)
+                points.append(image)
+                if cap is not None and len(points) > cap:
+                    raise OrbitCapExceeded(f"orbit exceeded cap {cap}")
+            perm.append(j)
+    return points, [tuple(perm) for perm in perms]
+
+
 def conjugacy_classes(G: FiniteGroup) -> list[ConjClass]:
-    """Conjugacy classes by orbit of representatives under generator conjugation."""
+    """Conjugacy classes by orbit of representatives under generator
+    conjugation; the same pass fills the table of class_index_table."""
     if G._classes is not None:
         return G._classes
-    mul = G.action.mul
+    elements, index, mul = G.elements, G.index, G.action.mul
     gen_pairs = [(G.action.inv(g), g) for g in G.generators]
-    seen = [False] * G.order
+
+    def conj(i: int, pair: tuple) -> int:
+        ginv, g = pair
+        return index[mul(mul(ginv, elements[i]), g)]
+
+    table = [-1] * G.order
     classes: list[ConjClass] = []
-    for start, e in enumerate(G.elements):
-        if seen[start]:
+    for start, e in enumerate(elements):
+        if table[start] >= 0:
             continue
-        seen[start] = True
-        orbit = [e]
-        frontier = [e]
-        while frontier:
-            new_frontier = []
-            for x in frontier:
-                for ginv, g in gen_pairs:
-                    y = mul(mul(ginv, x), g)
-                    yi = G.index[y]
-                    if not seen[yi]:
-                        seen[yi] = True
-                        orbit.append(y)
-                        new_frontier.append(y)
-            frontier = new_frontier
+        orbit, _ = _orbit(start, gen_pairs, conj)
+        for i in orbit:
+            table[i] = len(classes)
         size = len(orbit)
         if G.order % size:
             raise RuntimeError("class size does not divide group order")
         classes.append(ConjClass(rep=e, size=size, centralizer_order=G.order // size))
-    G._classes = classes
+    G._classes, G._class_table = classes, table
     return classes
 
 
 def class_index_table(G: FiniteGroup) -> list[int]:
     """Map element index -> conjugacy class index."""
-    table = [-1] * G.order
+    conjugacy_classes(G)
+    return G._class_table
+
+
+def _scan(G: FiniteGroup, keep: Callable[[Element], bool]) -> FiniteGroup:
+    """The subgroup of the elements h of G with keep(h), by scan of G."""
+    return FiniteGroup.from_elements(G.action, filter(keep, G.elements))
+
+
+def _commutes_with(G: FiniteGroup, xs: Sequence[Element]) -> Callable[[Element], bool]:
     mul = G.action.mul
-    gen_pairs = [(G.action.inv(g), g) for g in G.generators]
-    for ci, cls in enumerate(conjugacy_classes(G)):
-        frontier = [cls.rep]
-        table[G.index[cls.rep]] = ci
-        while frontier:
-            new_frontier = []
-            for x in frontier:
-                for ginv, g in gen_pairs:
-                    y = mul(mul(ginv, x), g)
-                    yi = G.index[y]
-                    if table[yi] < 0:
-                        table[yi] = ci
-                        new_frontier.append(y)
-            frontier = new_frontier
-    return table
-
-
-def centralizer(G: FiniteGroup, g: Element) -> FiniteGroup:
-    """The subgroup {h in G : hg = gh}."""
-    if g not in G.index:
-        raise ElementNotInGroup("element not in group")
-    mul = G.action.mul
-    members = [h for h in G.elements if mul(h, g) == mul(g, h)]
-    return FiniteGroup.from_elements(G.action, members)
-
-
-def centralizer_of_subgroup(G: FiniteGroup, P: FiniteGroup) -> FiniteGroup:
-    mul = G.action.mul
-    gens = [g for g in P.generators] or [P.identity]
-    members = [h for h in G.elements if all(mul(h, g) == mul(g, h) for g in gens)]
-    return FiniteGroup.from_elements(G.action, members)
+    return lambda h: all(mul(h, x) == mul(x, h) for x in xs)
 
 
 def _normalizes(G: FiniteGroup, g: Element, P: FiniteGroup) -> bool:
@@ -428,24 +420,31 @@ def _normalizes(G: FiniteGroup, g: Element, P: FiniteGroup) -> bool:
     return True
 
 
+def is_normal(G: FiniteGroup, N: FiniteGroup) -> bool:
+    """Whether every generator of G normalizes N."""
+    return all(_normalizes(G, g, N) for g in G.generators)
+
+
+def centralizer(G: FiniteGroup, g: Element) -> FiniteGroup:
+    """The subgroup {h in G : hg = gh}."""
+    if g not in G.index:
+        raise ElementNotInGroup("element not in group")
+    return _scan(G, _commutes_with(G, (g,)))
+
+
+def centralizer_of_subgroup(G: FiniteGroup, P: FiniteGroup) -> FiniteGroup:
+    return _scan(G, _commutes_with(G, P.generators))
+
+
 def normalizer(G: FiniteGroup, P: FiniteGroup) -> FiniteGroup:
     """N_G(P) by direct scan of G (P need not be a subgroup of G)."""
-    members = [h for h in G.elements if _normalizes(G, h, P)]
-    return FiniteGroup.from_elements(G.action, members)
+    return _scan(G, lambda h: _normalizes(G, h, P))
 
 
 def center(G: FiniteGroup) -> FiniteGroup:
     if G._center is None:
-        mul = G.action.mul
-        gens = G.generators or (G.identity,)
-        members = [h for h in G.elements if all(mul(h, g) == mul(g, h) for g in gens)]
-        G._center = FiniteGroup.from_elements(G.action, members)
+        G._center = _scan(G, _commutes_with(G, G.generators))
     return G._center
-
-
-# ---------------------------------------------------------------------------
-# subgroup conjugation orbits
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -464,30 +463,19 @@ def subgroup_orbit(action: Action, ambient_generators: Sequence[Element],
     follows by orbit-stabilizer.
     """
     mul = action.mul
-    inv = action.inv
-    start = tuple(sorted(P.elements))
-    seen = {start}
-    frontier = [start]
-    total_elements = len(start)
-    while frontier:
-        new_frontier = []
-        for sub in frontier:
-            for g in ambient_generators:
-                ginv = inv(g)
-                conj = tuple(sorted(mul(mul(ginv, x), g) for x in sub))
-                if conj not in seen:
-                    seen.add(conj)
-                    new_frontier.append(conj)
-                    total_elements += len(conj)
-                    if len(seen) > cap:
-                        raise OrbitCapExceeded(f"subgroup orbit exceeded cap {cap}")
-        frontier = new_frontier
+
+    def conj(sub: tuple, pair: tuple) -> tuple:
+        ginv, g = pair
+        return tuple(sorted(mul(mul(ginv, x), g) for x in sub))
+
+    gen_pairs = [(action.inv(g), g) for g in ambient_generators]
+    orbit, _ = _orbit(tuple(sorted(P.elements)), gen_pairs, conj, cap=cap)
     norm_order = None
     if ambient_order is not None:
-        if ambient_order % len(seen):
+        if ambient_order % len(orbit):
             raise RuntimeError("orbit size does not divide ambient order")
-        norm_order = ambient_order // len(seen)
-    return OrbitCertificate(orbit_size=len(seen), normalizer_order=norm_order)
+        norm_order = ambient_order // len(orbit)
+    return OrbitCertificate(orbit_size=len(orbit), normalizer_order=norm_order)
 
 
 # ---------------------------------------------------------------------------
@@ -542,31 +530,31 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> FiniteGroup:
 # ---------------------------------------------------------------------------
 
 
-def double_cosets(G: FiniteGroup, S: FiniteGroup) -> list[tuple[Element, int]]:
-    """Partition of G into S-S double cosets.
+def double_cosets(G: FiniteGroup, S: FiniteGroup) -> Iterator[tuple[Element, list[int]]]:
+    """Partition of G into S-S double cosets, one coset at a time.
 
-    Representatives are first elements in enumeration order; along with each
-    representative the coset size is returned.
+    Each coset comes as its representative, the first element in enumeration
+    order, and the indices of its members.  G is walked once, with visited
+    elements marked in a bitmap.
     """
     if not S.is_subgroup_of(G):
         raise SubgroupNotContained("S is not a subgroup of G")
     mul = G.action.mul
+    index = G.index
     visited = bytearray(G.order)
-    out = []
     s_elements = S.elements
     for i, x in enumerate(G.elements):
         if visited[i]:
             continue
         right = [mul(x, s) for s in s_elements]
-        size = 0
+        members = []
         for s1 in s_elements:
             for xs in right:
-                j = G.index[mul(s1, xs)]
+                j = index[mul(s1, xs)]
                 if not visited[j]:
                     visited[j] = 1
-                    size += 1
-        out.append((x, size))
-    return out
+                    members.append(j)
+        yield x, members
 
 
 def trivial_intersection(G: FiniteGroup, S: FiniteGroup, x: Element) -> bool:
@@ -596,9 +584,8 @@ def quotient_group(G: FiniteGroup, N: FiniteGroup) -> FiniteGroup:
     """
     if not N.is_subgroup_of(G):
         raise SubgroupNotContained("N is not a subgroup of G")
-    for g in G.generators:
-        if not _normalizes(G, g, N):
-            raise NotNormal("N is not normal in G")
+    if not is_normal(G, N):
+        raise NotNormal("N is not normal in G")
     mul = G.action.mul
     coset_of = [-1] * G.order
     reps: list[Element] = []
@@ -632,22 +619,8 @@ def derived_subgroup(G: FiniteGroup) -> FiniteGroup:
     for a in G.generators:
         for b in G.generators:
             comms.add(mul(mul(inv(a), inv(b)), mul(a, b)))
-    current = FiniteGroup.generate(G.action, sorted(comms), cap=G.order + 1)
-    # normal closure under generator conjugation
-    while True:
-        extra = []
-        for g in G.generators:
-            ginv = inv(g)
-            for x in current.generators:
-                y = mul(mul(ginv, x), g)
-                if y not in current.index:
-                    extra.append(y)
-        if not extra:
-            break
-        current = FiniteGroup.generate(G.action, list(current.generators) + extra,
-                                       cap=G.order + 1)
-    G._derived = current
-    return current
+    G._derived = _normal_closure(G, sorted(comms))
+    return G._derived
 
 
 def abelianization(G: FiniteGroup) -> FiniteGroup:
@@ -710,10 +683,6 @@ def odd_core(G: FiniteGroup) -> FiniteGroup:
 def two_core(G: FiniteGroup) -> FiniteGroup:
     """O_2(G), the largest normal 2-subgroup."""
     return largest_normal_subgroup(G, lambda n: n == _p_part(n, 2))
-
-
-def p_core(G: FiniteGroup, p: int) -> FiniteGroup:
-    return largest_normal_subgroup(G, lambda n: n == _p_part(n, p))
 
 
 # ---------------------------------------------------------------------------
@@ -900,6 +869,12 @@ def conjugation_permutation(N_action: Action, g: Element, P: FiniteGroup) -> Ele
     return tuple(images)
 
 
+def _coset_key(inner: FiniteGroup, phi: Element) -> Element:
+    """Label of the coset inner * phi: its least element."""
+    mul = inner.action.mul
+    return min(mul(psi, phi) for psi in inner.elements)
+
+
 def induced_outer(N_generators: Sequence[Element], P: FiniteGroup,
                   action: Action | None = None) -> FiniteGroup:
     """Image of <N_generators> in Aut(P), modulo Inn(P), as a quotient group.
@@ -907,39 +882,18 @@ def induced_outer(N_generators: Sequence[Element], P: FiniteGroup,
     The automorphism group is never enumerated.  Cosets of Inn(P) inside the
     image are explored by orbit, each coset keyed by the minimum of its
     element tuples; the result is the regular permutation action of the outer
-    group on those cosets.
+    group on those cosets, generated by the permutations the orbit induces.
     """
     action = action or P.action
     perm_action = PermAction(P.order)
     gen_perms = [conjugation_permutation(action, g, P) for g in N_generators]
     inner_gens = [conjugation_permutation(action, g, P) for g in P.generators]
     inner = FiniteGroup.generate(perm_action, inner_gens, cap=P.order ** 2)
-    inner_elements = inner.elements
     pmul = perm_action.mul
-
-    def coset_key(phi: Element) -> Element:
-        return min(pmul(psi, phi) for psi in inner_elements)
-
-    start = coset_key(perm_action.identity)
-    keys = {start: 0}
-    reps = [start]
-    frontier = [start]
-    while frontier:
-        new_frontier = []
-        for rep in frontier:
-            for gp in gen_perms:
-                key = coset_key(pmul(rep, gp))
-                if key not in keys:
-                    keys[key] = len(reps)
-                    reps.append(key)
-                    new_frontier.append(key)
-        frontier = new_frontier
-    n = len(reps)
-    out_action = PermAction(n)
-    out_gens = []
-    for gp in gen_perms:
-        out_gens.append(tuple(keys[coset_key(pmul(rep, gp))] for rep in reps))
-    Q = FiniteGroup.generate(out_action, out_gens, cap=n + 1)
+    cosets, out_gens = _orbit(min(inner.elements), gen_perms,
+                              lambda rep, gp: _coset_key(inner, pmul(rep, gp)))
+    n = len(cosets)
+    Q = FiniteGroup.generate(PermAction(n), out_gens, cap=n + 1)
     if Q.order != n:
         raise RuntimeError("outer quotient action is not regular")
     return Q

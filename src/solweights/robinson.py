@@ -17,8 +17,10 @@ from .groups import (
     FiniteGroup,
     class_index_table,
     conjugacy_classes,
+    double_cosets,
     odd_core,
     sylow_subgroup,
+    trivial_intersection,
 )
 from .linalg import gf2_rank, gram_gf2
 from .util import parallel_map
@@ -77,7 +79,7 @@ def robinson_matrix(G: FiniteGroup, sylow: FiniteGroup | None = None,
                     threads: int = 1) -> RobinsonData:
     """Assemble the defect-zero data and the GF(2) matrix N.
 
-    The double-coset scan walks G once, marking visited elements in a bitmap.
+    The double cosets come one at a time from ``groups.double_cosets``.
     Kept cosets contain a defect-zero element and satisfy the trivial
     intersection condition (constant on each coset).  f(D) defaults to the
     first defect-zero element of D in enumeration order; passing an rng picks
@@ -90,44 +92,18 @@ def robinson_matrix(G: FiniteGroup, sylow: FiniteGroup | None = None,
     dz_class_ids = {ci: row for row, ci in enumerate(
         ci for ci, c in enumerate(all_classes) if c.centralizer_order % 2 == 1)}
     mul = G.action.mul
-    inv = G.action.inv
     s_elements = S.elements
-    s_index = S.index
 
-    visited = bytearray(G.order)
     coset_reps: list[tuple] = []
     coset_dz: list[list[tuple]] = []
     y0_size = 0
-    for i, x in enumerate(G.elements):
-        if visited[i]:
-            continue
-        right = [mul(x, s) for s in s_elements]
-        dz_members: list[tuple] = []
-        for s1 in s_elements:
-            for xs in right:
-                y = mul(s1, xs)
-                j = G.index[y]
-                if not visited[j]:
-                    visited[j] = 1
-                    row = dz_class_ids.get(class_table[j])
-                    if row is not None:
-                        dz_members.append(y)
+    for x, members in double_cosets(G, S):
+        dz_members = sorted(j for j in members if class_table[j] in dz_class_ids)
         y0_size += len(dz_members)
-        if not dz_members:
-            continue
         # trivial intersection is constant on the double coset
-        xinv = inv(x)
-        meet = 0
-        for s in s_elements:
-            if mul(mul(xinv, s), x) in s_index:
-                meet += 1
-                if meet > 1:
-                    break
-        if meet == 1:
-            # keep in enumeration order of the defect-zero members
-            dz_members.sort(key=G.index.__getitem__)
+        if dz_members and trivial_intersection(G, S, x):
             coset_reps.append(x)
-            coset_dz.append(dz_members)
+            coset_dz.append([G.elements[j] for j in dz_members])
 
     if rng is None:
         x_reps = [members[0] for members in coset_dz]

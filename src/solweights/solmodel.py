@@ -10,9 +10,10 @@ inverting the torus, and tau swaps the first two coordinates.
 
 K itself is never enumerated (order about 1e7 at l = 0 and 1e13 at l = 1);
 normalizer orders are certified by subgroup orbits against the closed-form
-order of K, and all other normalizers are located inside an enumerated
-container via the projection-to-factors argument: any element normalizing P
-also normalizes P meet L0, because L0 is normal in K.
+order of K, and every other normalizer is computed by ``groups.normalizer``
+inside an enumerated container chosen by the projection-to-factors argument:
+any element normalizing P also normalizes P meet L0, because L0 is normal
+in K.
 
 Verification reports are lists of dicts {check, l, expected, computed, pass}
 so the CLI can emit them directly.
@@ -29,13 +30,15 @@ from .groups import (
     CentralTripleAction,
     FiniteGroup,
     MatrixAction,
+    _orbit,
     abelian_invariants,
     center,
     centralizer_of_subgroup,
-    conjugacy_classes,
+    class_index_table,
     fingerprint,
     identify,
     induced_outer,
+    is_normal,
     normalizer,
     quotient_group,
     subgroup_orbit,
@@ -247,31 +250,14 @@ def verify_quaternion_lemma(level: int) -> dict:
                          all(R.element_order(e) == 4 for e in outside)))
 
     # (c) x^i y ~ x^j y iff i = j mod 2
-    xy_class = {}
-    for e in outside:
-        orbit = {e}
-        frontier = [e]
-        while frontier:
-            new = []
-            for a in frontier:
-                for g in R.generators:
-                    b = R.conj(a, g)
-                    if b not in orbit:
-                        orbit.add(b)
-                        new.append(b)
-            frontier = new
-        xy_class[e] = frozenset(orbit)
+    class_of = class_index_table(R)
+    xy_class = []  # class index of x^i y
     acc = mat.identity
-    parity_ok = True
-    elems_by_i = []
-    for i in range(n):
-        elems_by_i.append(mat.mul(acc, y))
+    for _ in range(n):
+        xy_class.append(class_of[R.index[mat.mul(acc, y)]])
         acc = mat.mul(acc, x)
-    for i in range(n):
-        for j in range(n):
-            same = xy_class[elems_by_i[i]] == xy_class[elems_by_i[j]]
-            if same != ((i - j) % 2 == 0):
-                parity_ok = False
+    parity_ok = all((xy_class[i] == xy_class[j]) == ((i - j) % 2 == 0)
+                    for i in range(n) for j in range(n))
     checks.append(_check("x^i y fusion parity", level, True, parity_ok))
 
     # (d) exhaustive list of order-8 quaternion subgroups (nonabelian with a
@@ -303,18 +289,8 @@ def verify_quaternion_lemma(level: int) -> dict:
     orbits = []
     remaining = set(quats)
     while remaining:
-        start = min(remaining)
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            new = []
-            for sub in frontier:
-                for g in R.generators:
-                    conj = tuple(sorted(R.conj(e, g) for e in sub))
-                    if conj not in orbit:
-                        orbit.add(conj)
-                        new.append(conj)
-            frontier = new
+        orbit = set(_orbit(min(remaining), R.generators,
+                           lambda sub, g: tuple(sorted(R.conj(e, g) for e in sub)))[0])
         orbits.append(orbit)
         remaining -= orbit
     lengths = sorted(len(o) for o in orbits)
@@ -371,9 +347,7 @@ def verify_torus_sequence(level: int) -> dict:
 
     checks.append(_check("|S| = 2^(10+3l)", level, 2 ** (10 + 3 * level), S.order))
     checks.append(_check("|T| = (2^(l+2))^3", level, (2 ** (level + 2)) ** 3, T.order))
-    normal = all(action.mul(action.mul(action.inv(g), t), g) in T.index
-                 for g in S.generators for t in T.generators)
-    checks.append(_check("T normal in S", level, True, normal))
+    checks.append(_check("T normal in S", level, True, is_normal(S, T)))
     checks.append(_check("T homocyclic of rank 3", level,
                          (2 ** (level + 2),) * 3, abelian_invariants(T)))
 
@@ -397,9 +371,7 @@ def verify_torus_sequence(level: int) -> dict:
     checks.append(_check("|A| = 16", level, 16, model.a_group.order))
     checks.append(_check("A elementary rank 4", level, (2, 2, 2, 2),
                          abelian_invariants(model.a_group)))
-    u_normal = all(action.mul(action.mul(action.inv(g), u), g) in model.u_group.index
-                   for g in S.generators for u in model.u_group.generators)
-    checks.append(_check("U normal in S", level, True, u_normal))
+    checks.append(_check("U normal in S", level, True, is_normal(S, model.u_group)))
     chain = (model.z_group.is_subgroup_of(model.u_group)
              and model.u_group.is_subgroup_of(model.e_group)
              and model.e_group.is_subgroup_of(model.a_group))
@@ -426,7 +398,6 @@ def _count_normal_four_subgroups(S: FiniteGroup) -> int:
                    and e != action.identity]
     seen = set()
     count = 0
-    gen_pairs = [(action.inv(g), g) for g in S.generators]
     for i, a in enumerate(involutions):
         for b in involutions[i + 1:]:
             if action.mul(a, b) != action.mul(b, a):
@@ -436,16 +407,7 @@ def _count_normal_four_subgroups(S: FiniteGroup) -> int:
             if key in seen:
                 continue
             seen.add(key)
-            members = {action.identity, a, b, ab}
-            normal = True
-            for ginv, g in gen_pairs:
-                for m in (a, b):
-                    if action.mul(action.mul(ginv, m), g) not in members:
-                        normal = False
-                        break
-                if not normal:
-                    break
-            if normal:
+            if is_normal(S, FiniteGroup.generate(action, [a, b], cap=4)):
                 count += 1
     return count
 
@@ -565,9 +527,7 @@ def _sectional_rank_exhaustive(G: FiniteGroup) -> int:
     for H in _all_subgroups(G):
         subs = _all_subgroups(H)
         for N in subs:
-            normal = all(H.conj(n, h) in N.index
-                         for h in H.generators for n in N.generators)
-            if not normal:
+            if not is_normal(H, N):
                 continue
             Q = quotient_group(H, N)
             if Q.order == 1:
@@ -581,25 +541,6 @@ def _sectional_rank_exhaustive(G: FiniteGroup) -> int:
 # ---------------------------------------------------------------------------
 # K-side centric radical verification, l = 0
 # ---------------------------------------------------------------------------
-
-
-def _scan_normalizer(container: FiniteGroup, P: FiniteGroup) -> FiniteGroup:
-    """N_container(P) by scan with early exit on the first failing generator."""
-    action = container.action
-    mul = action.mul
-    p_index = P.index
-    p_gens = P.generators
-    members = []
-    for g in container.elements:
-        ginv = action.inv(g)
-        ok = True
-        for pg in p_gens:
-            if mul(mul(ginv, pg), g) not in p_index:
-                ok = False
-                break
-        if ok:
-            members.append(g)
-    return FiniteGroup.from_elements(action, members)
 
 
 def verify_k_radicals_l0() -> dict:
@@ -662,7 +603,7 @@ def verify_k_radicals_l0() -> dict:
     out_orders = {}
     for label, P, expected_order, zoo_target in rows:
         # container argument: P meet L0 = Q for every row, so N_K(P) <= N_K(Q)
-        N = nk_q if P is model.r0 else _scan_normalizer(nk_q, P)
+        N = nk_q if P is model.r0 else normalizer(nk_q, P)
         out = induced_outer(N.generators, P, action=action)
         out_orders[label] = out.order
         checks.append(_check(f"|Out_K({label})|", 0, expected_order, out.order))
@@ -672,12 +613,9 @@ def verify_k_radicals_l0() -> dict:
                              "fingerprint-verified",
                              identify(out, target)))
         if label == "Q":
-            c_in_n = [g for g in N.elements
-                      if all(action.mul(g, p) == action.mul(p, g)
-                             for p in P.generators)]
-            checks.append(_check("|C_N(Q)| = |Z(Q)| = 4", 0, 4, len(c_in_n)))
-            checks.append(_check("|Aut_K(Q)| = 324 * 64", 0, 20736,
-                                 N.order // len(c_in_n)))
+            c_in_n = centralizer_of_subgroup(N, P).order
+            checks.append(_check("|C_N(Q)| = |Z(Q)| = 4", 0, 4, c_in_n))
+            checks.append(_check("|Aut_K(Q)| = 324 * 64", 0, 20736, N.order // c_in_n))
 
     report = {"command": "verify-k-radicals", "l": 0, "checks": checks,
               "out_orders": out_orders,
@@ -752,7 +690,7 @@ def spotcheck_l1() -> dict:
         list(model.r0.generators) + [_diag(action, model.c), model.tau, model.rho],
         cap=50_000, name="N_K(R0)")
     checks.append(_check("|N_K(R0)| container", 1, 24576, n_r0.order))
-    n_csu = _scan_normalizer(n_r0, csu)
+    n_csu = normalizer(n_r0, csu)
     out_csu = induced_outer(n_csu.generators, csu, action=action)
     checks.append(_check("|Out_K(C_S(U))| = 6", 1, 6, out_csu.order))
     checks.append(_check("Out_K(C_S(U)) type", 1, "isomorphism-verified",
@@ -782,7 +720,7 @@ def spotcheck_l1() -> dict:
         cap=400_000, name="N_K(Q1Q2Q3)")
     checks.append(_check("|N_K(Q1Q2Q3)| = 48^3/2 * 6", 1, 331776,
                          m_container.order))
-    n_p = _scan_normalizer(m_container, P)
+    n_p = normalizer(m_container, P)
     out_p = induced_outer(n_p.generators, P, action=action)
     o2 = two_core(out_p)
     checks.append(_check("witness |O_2(Out_K(P))| = 2 (not radical)", 1, 2,

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from solweights import groups
 from solweights.errors import CapExceeded, NotNormal
 from solweights.fields import prime_field, tower_field
 from solweights.groups import (
@@ -112,6 +113,20 @@ def test_class_sizes_sum_and_centralizer_product():
             assert c.size * c.centralizer_order == G.order
 
 
+# -- orbits -----------------------------------------------------------------------
+
+
+def test_orbit_seven_cycle_in_a7():
+    G = alternating_group(7)
+    points, perms = groups._orbit((1, 2, 3, 4, 5, 6, 0), G.generators, G.conj)
+    assert len(points) == len(set(points)) == 360
+    for g, perm in zip(G.generators, perms):
+        assert all(points[perm[i]] == G.conj(x, g) for i, x in enumerate(points))
+    reached, _ = groups._orbit(0, perms, lambda i, perm: perm[i])
+    assert len(reached) == 360
+    assert FiniteGroup.generate(PermAction(360), perms).order == G.order
+
+
 # -- centralizers --------------------------------------------------------------
 
 
@@ -191,15 +206,15 @@ def test_sylow_gl42_at_two():
 
 def test_double_coset_whole_group():
     G = symmetric_group(4)
-    dcs = double_cosets(G, G)
-    assert len(dcs) == 1 and dcs[0][1] == G.order
+    dcs = list(double_cosets(G, G))
+    assert len(dcs) == 1 and len(dcs[0][1]) == G.order
 
 
 def test_double_cosets_partition():
     G = symmetric_group(5)
     S = sylow_subgroup(G, 2)
     dcs = double_cosets(G, S)
-    assert sum(size for _, size in dcs) == G.order
+    assert sum(len(members) for _, members in dcs) == G.order
 
 
 def test_trivial_intersection_constant_on_cosets():
@@ -293,6 +308,24 @@ def test_induced_outer_q8_in_sl2_5():
     assert out.order == 3
 
 
+def test_induced_outer_one_coset_key_per_image(monkeypatch):
+    calls = []
+    coset_key = groups._coset_key
+
+    def counted(inner, phi):
+        calls.append(phi)
+        return coset_key(inner, phi)
+
+    monkeypatch.setattr(groups, "_coset_key", counted)
+    G = named_group("wr(S3,S3)")
+    P = sylow_subgroup(G, 3)
+    N = normalizer(G, P)
+    out = induced_outer(N.generators, P)
+    # the outer group acts regularly, so it has one point per coset
+    assert out.order > 1
+    assert len(calls) == out.order * len(N.generators)
+
+
 # -- structural helpers -------------------------------------------------------------------
 
 
@@ -312,6 +345,7 @@ def test_odd_core():
 def test_class_index_table_consistent():
     G = named_group("S5")
     table = class_index_table(G)
+    assert class_index_table(G) is table  # filled once, by conjugacy_classes
     classes = conjugacy_classes(G)
     for ci, c in enumerate(classes):
         assert table[G.index[c.rep]] == ci
@@ -320,3 +354,6 @@ def test_class_index_table_consistent():
     counts = Counter(table)
     for ci, c in enumerate(classes):
         assert counts[ci] == c.size
+    for i, e in enumerate(G.elements):
+        for g in G.generators:
+            assert table[G.index[G.conj(e, g)]] == table[i]
