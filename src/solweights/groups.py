@@ -8,8 +8,14 @@ multiplication, inversion and identity for one element kind:
   entry tuples (row major),
 * ``CentralTripleAction(field)`` -- triples of 2x2 matrices together with a
   permutation of three coordinates, stored modulo the central sign
-  identification (m1, m2, m3, pi) ~ (-m1, -m2, -m3, pi); of the two
-  representatives the lexicographically smaller tuple is kept.
+  identification (m1, m2, m3, pi) ~ (-m1, -m2, -m3, pi); the stored
+  representative is the one whose first nonzero matrix entry v has v < -v
+  as encodings.  The two representatives first differ at that entry, so
+  this keeps the lexicographically smaller tuple.
+
+Matrix and triple products index the field's ``mul_table``, ``add_table``
+and ``neg_table`` directly when the field has them (GF(25) and GF(625), the
+model fields at l = 0 and 1) and go through the field's methods otherwise.
 
 Groups cache their full element enumeration (breadth-first closure from the
 identity, deterministic in the generator order) and structural data derived
@@ -70,6 +76,26 @@ class PermAction:
         return hash(("perm", self.n))
 
 
+def _mat_mul_tables(M: list, A: list, x: Element, y: Element) -> Element:
+    """2x2 product by direct lookup in a field's mul_table M and add_table A."""
+    a, b, c, d = x
+    e, g, h, i = y
+    Ma, Mb, Mc, Md = M[a], M[b], M[c], M[d]
+    return (A[Ma[e]][Mb[h]], A[Ma[g]][Mb[i]], A[Mc[e]][Md[h]], A[Mc[g]][Md[i]])
+
+
+def _mat_mul_field(f: FiniteField, x: Element, y: Element) -> Element:
+    """2x2 product through the field's methods (fields without tables)."""
+    a, b, c, d = x
+    e, g, h, i = y
+    return (
+        f.add(f.mul(a, e), f.mul(b, h)),
+        f.add(f.mul(a, g), f.mul(b, i)),
+        f.add(f.mul(c, e), f.mul(d, h)),
+        f.add(f.mul(c, g), f.mul(d, i)),
+    )
+
+
 class MatrixAction:
     """2x2 matrices over a finite field, flat tuples (a, b, c, d)."""
 
@@ -81,14 +107,9 @@ class MatrixAction:
 
     def mul(self, x: Element, y: Element) -> Element:
         f = self.field
-        a, b, c, d = x
-        e, g, h, i = y
-        return (
-            f.add(f.mul(a, e), f.mul(b, h)),
-            f.add(f.mul(a, g), f.mul(b, i)),
-            f.add(f.mul(c, e), f.mul(d, h)),
-            f.add(f.mul(c, g), f.mul(d, i)),
-        )
+        if f._tables_ready:
+            return _mat_mul_tables(f.mul_table, f.add_table, x, y)
+        return _mat_mul_field(f, x, y)
 
     def inv(self, x: Element) -> Element:
         f = self.field
@@ -118,8 +139,11 @@ class CentralTripleAction:
     Elements are ((m1), (m2), (m3), pi) with each m a flat 2x2 tuple over the
     field and pi a permutation tuple of (0, 1, 2).  The product permutes the
     second factor's matrix triple by the first factor's pi before multiplying
-    componentwise; pi parts compose as functions.  Both central
-    representatives are formed and the lexicographically smaller is stored.
+    componentwise; pi parts compose as functions.  Of the two central
+    representatives, the one whose first nonzero entry v of (m1, m2, m3)
+    satisfies v < -v is stored; that entry is where the two tuples first
+    differ, so it is the lexicographically smaller one.  Only that one is
+    built.
     """
 
     kind = "central-triple"
@@ -131,35 +155,37 @@ class CentralTripleAction:
         self.identity: Element = (one, one, one, (0, 1, 2))
 
     def canonical(self, m1: Element, m2: Element, m3: Element, pi: Element) -> Element:
-        neg = self.field.neg
-        alt = (
-            tuple(neg(v) for v in m1),
-            tuple(neg(v) for v in m2),
-            tuple(neg(v) for v in m3),
-            pi,
-        )
-        cand = (m1, m2, m3, pi)
-        return cand if cand <= alt else alt
+        f = self.field
+        neg = f.neg_table.__getitem__ if f._tables_ready else f.neg
+        # the two representatives first differ at the first nonzero entry v,
+        # where one holds v and the other -v
+        v = next(filter(None, m1 + m2 + m3), 0)
+        if neg(v) < v:
+            return (tuple(map(neg, m1)), tuple(map(neg, m2)), tuple(map(neg, m3)), pi)
+        return (m1, m2, m3, pi)
 
     def make(self, m1: Element, m2: Element, m3: Element, pi: Element = (0, 1, 2)) -> Element:
         return self.canonical(m1, m2, m3, pi)
 
     def mul(self, x: Element, y: Element) -> Element:
         a1, a2, a3, p = x
-        b = (y[0], y[1], y[2])
         q = y[3]
-        mm = self.mat.mul
-        # permuted[p[i]] = b[i]
+        # permuted[p[i]] = y[i]
         permuted = [None, None, None]
-        permuted[p[0]] = b[0]
-        permuted[p[1]] = b[1]
-        permuted[p[2]] = b[2]
-        return self.canonical(
-            mm(a1, permuted[0]),
-            mm(a2, permuted[1]),
-            mm(a3, permuted[2]),
-            (p[q[0]], p[q[1]], p[q[2]]),
-        )
+        permuted[p[0]] = y[0]
+        permuted[p[1]] = y[1]
+        permuted[p[2]] = y[2]
+        f = self.field
+        if f._tables_ready:
+            M, A = f.mul_table, f.add_table
+            m1 = _mat_mul_tables(M, A, a1, permuted[0])
+            m2 = _mat_mul_tables(M, A, a2, permuted[1])
+            m3 = _mat_mul_tables(M, A, a3, permuted[2])
+        else:
+            m1 = _mat_mul_field(f, a1, permuted[0])
+            m2 = _mat_mul_field(f, a2, permuted[1])
+            m3 = _mat_mul_field(f, a3, permuted[2])
+        return self.canonical(m1, m2, m3, (p[q[0]], p[q[1]], p[q[2]]))
 
     def inv(self, x: Element) -> Element:
         a1, a2, a3, p = x

@@ -50,6 +50,7 @@ class RobinsonData:
 
     def to_json(self, name: str | None = None) -> dict:
         G = self.group
+        rank = self.gram_rank()
         return {
             "group": name or G.name or "group",
             "order": G.order,
@@ -63,8 +64,8 @@ class RobinsonData:
                 for c in self.classes
             ],
             "x_count": len(self.x_reps),
-            "rank": self.gram_rank(),
-            "count": self.gram_rank(),
+            "rank": rank,
+            "count": rank,
             "bound": self.bound(),
         }
 

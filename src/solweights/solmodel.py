@@ -206,6 +206,33 @@ def _sl2_q8_normalizer_gens(level: int) -> list[tuple]:
 # ---------------------------------------------------------------------------
 
 
+def _q8_subgroups(R: FiniteGroup) -> set[tuple]:
+    """The Q8 subgroups of R, each as its sorted element tuple.
+
+    Closes <a, b> for each unordered noncommuting pair with a^2 = b^2 and keeps
+    the closures of order 8 with a unique involution; Q8 is the only
+    nonabelian group of order 8 with one involution.
+    """
+    mat = R.action
+    elements = R.elements
+    squares = [mat.mul(a, a) for a in elements]
+    quats = set()
+    for i, a in enumerate(elements):
+        for j in range(i + 1, len(elements)):
+            # two noncommuting elements of Q8 both square to its involution
+            if squares[i] != squares[j]:
+                continue
+            b = elements[j]
+            if mat.mul(a, b) == mat.mul(b, a):
+                continue
+            H = FiniteGroup.generate(mat, [a, b], cap=R.order + 1)
+            if H.order == 8:
+                invol = sum(1 for e in H.elements if H.element_order(e) == 2)
+                if invol == 1:
+                    quats.add(tuple(sorted(H.elements)))
+    return quats
+
+
 def verify_quaternion_lemma(level: int) -> dict:
     """Exhaustive check of the quaternion frame structure at 1 <= l <= 3."""
     key = ("quat", level)
@@ -260,18 +287,8 @@ def verify_quaternion_lemma(level: int) -> dict:
                     for i in range(n) for j in range(n))
     checks.append(_check("x^i y fusion parity", level, True, parity_ok))
 
-    # (d) exhaustive list of order-8 quaternion subgroups (nonabelian with a
-    # unique involution; the unique-involution test alone would catch <x>)
-    quats = set()
-    for a in R.elements:
-        for b in R.elements:
-            if mat.mul(a, b) == mat.mul(b, a):
-                continue
-            H = FiniteGroup.generate(mat, [a, b], cap=R.order + 1)
-            if H.order == 8:
-                invol = sum(1 for e in H.elements if H.element_order(e) == 2)
-                if invol == 1:
-                    quats.add(tuple(sorted(H.elements)))
+    # (d) exhaustive list of order-8 quaternion subgroups
+    quats = _q8_subgroups(R)
     checks.append(_check("number of Q8 subgroups", level, 2 ** level, len(quats)))
     x_2l = _pow_mat(mat, x, 2 ** level)
     predicted = set()

@@ -8,6 +8,7 @@ from solweights import groups
 from solweights.errors import CapExceeded, NotNormal
 from solweights.fields import prime_field, tower_field
 from solweights.groups import (
+    CentralTripleAction,
     FiniteGroup,
     MatrixAction,
     PermAction,
@@ -53,6 +54,109 @@ def partitions(n):
         for total in range(part, n + 1):
             table[total] += table[total - part]
     return table[n]
+
+
+# -- element arithmetic ---------------------------------------------------------
+
+
+def ref_mat_mul(f, x, y):
+    a, b, c, d = x
+    e, g, h, i = y
+    return (f.add(f.mul(a, e), f.mul(b, h)), f.add(f.mul(a, g), f.mul(b, i)),
+            f.add(f.mul(c, e), f.mul(d, h)), f.add(f.mul(c, g), f.mul(d, i)))
+
+
+def ref_mat_inv(f, x):
+    a, b, c, d = x
+    di = f.inv(f.add(f.mul(a, d), f.neg(f.mul(b, c))))
+    return (f.mul(d, di), f.mul(f.neg(b), di), f.mul(f.neg(c), di), f.mul(a, di))
+
+
+def ref_canonical(f, ms, pi):
+    """The lexicographically smaller of the two central representatives."""
+    cand = (*ms, pi)
+    alt = (*(tuple(f.neg(v) for v in m) for m in ms), pi)
+    return min(cand, alt)
+
+
+def ref_triple_mul(f, x, y):
+    p, q = x[3], y[3]
+    permuted = [None] * 3
+    for i in range(3):
+        permuted[p[i]] = y[i]
+    ms = [ref_mat_mul(f, x[k], permuted[k]) for k in range(3)]
+    return ref_canonical(f, ms, tuple(p[q[i]] for i in range(3)))
+
+
+def ref_triple_inv(f, x):
+    q = [0] * 3
+    for i, pi in enumerate(x[3]):
+        q[pi] = i
+    out = [None] * 3
+    for i in range(3):
+        out[q[i]] = ref_mat_inv(f, x[i])
+    return ref_canonical(f, out, tuple(q))
+
+
+def random_invertible(f, rng):
+    while True:
+        m = tuple(rng.randrange(f.size) for _ in range(4))
+        if f.add(f.mul(m[0], m[3]), f.neg(f.mul(m[1], m[2]))):
+            return m
+
+
+def random_triple(act, rng):
+    pi = tuple(rng.sample(range(3), 3))
+    return act.make(*(random_invertible(act.field, rng) for _ in range(3)), pi)
+
+
+def model_elements(model, rng, count):
+    """Elements of S and random words of length 6 in the generators of K."""
+    act = model.action
+    out = [rng.choice(model.sylow.elements) for _ in range(count)]
+    for _ in range(count):
+        w = act.identity
+        for _ in range(6):
+            w = act.mul(w, rng.choice(model.k_generators))
+        out.append(w)
+    return out
+
+
+def check_arithmetic(act, elements, ref_mul, ref_inv, rng, pairs):
+    f = act.field
+    for _ in range(pairs):
+        a, b, c = (rng.choice(elements) for _ in range(3))
+        assert act.mul(a, b) == ref_mul(f, a, b)
+        assert act.inv(a) == ref_inv(f, a)
+        assert act.mul(act.mul(a, b), c) == act.mul(a, act.mul(b, c))
+        assert act.mul(a, act.inv(a)) == act.identity
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_triple_arithmetic_matches_reference(sol0, sol1, level):
+    model = (sol0, sol1)[level]
+    assert model.action.field._tables_ready
+    rng = random.Random(300 + level)
+    elements = model_elements(model, rng, 500)
+    check_arithmetic(model.action, elements, ref_triple_mul, ref_triple_inv, rng, 2000)
+
+
+@pytest.mark.parametrize("level", [1, 2, 4])
+def test_matrix_arithmetic_matches_reference(level):
+    # GF(25) and GF(625) index the field tables; GF(5^16) takes the slow path
+    act = MatrixAction(tower_field(level))
+    assert act.field._tables_ready == (level < 4)
+    rng = random.Random(400 + level)
+    elements = [random_invertible(act.field, rng) for _ in range(300)]
+    check_arithmetic(act, elements, ref_mat_mul, ref_mat_inv, rng, 500)
+
+
+def test_triple_arithmetic_slow_field():
+    act = CentralTripleAction(tower_field(4))
+    assert not act.field._tables_ready
+    rng = random.Random(500)
+    elements = [random_triple(act, rng) for _ in range(100)]
+    check_arithmetic(act, elements, ref_triple_mul, ref_triple_inv, rng, 200)
 
 
 # -- closure and enumeration --------------------------------------------------

@@ -1,7 +1,8 @@
 import pytest
 
-from solweights.groups import FiniteGroup, center, conjugacy_classes
-from solweights.solmodel import build_sol_model
+from solweights.fields import field_tower
+from solweights.groups import FiniteGroup, MatrixAction, center, conjugacy_classes
+from solweights.solmodel import _q8_subgroups, build_sol_model
 
 from conftest import failing
 
@@ -93,6 +94,25 @@ def test_sectional_report(sectional_report):
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_quaternion_reports(quaternion_reports, level):
     assert failing(quaternion_reports[level]) == []
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_q8_search_matches_brute_force(level):
+    fq, fq2, omega = field_tower(level)
+    mat = MatrixAction(fq2)
+    x = (omega, 0, 0, fq2.inv(omega))
+    y = (0, fq2.neg(1), 1, 0)
+    R = FiniteGroup.generate(mat, [x, y], cap=2 ** (level + 4))
+    brute = set()
+    for a in R.elements:
+        for b in R.elements:
+            if mat.mul(a, b) == mat.mul(b, a):
+                continue
+            H = FiniteGroup.generate(mat, [a, b], cap=R.order + 1)
+            if H.order == 8 and sum(1 for e in H.elements if H.element_order(e) == 2) == 1:
+                brute.add(tuple(sorted(H.elements)))
+    assert len(brute) == 2 ** level
+    assert _q8_subgroups(R) == brute
 
 
 def test_inn_aut_orders_l0(radicals_report_l0):
