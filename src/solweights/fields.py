@@ -7,9 +7,10 @@ in [0, size): a level-(k+1) element a + b*z is encoded as
 enc(a) + enc(b) * 5^(2^k).  Subfield elements keep their encoding under this
 convention, so embedding up the tower is the identity on encodings.
 
-Fields with at most TABLE_MAX elements get full add/mul/inv tables; larger
-levels fall back to recursive pair arithmetic with memoised product caches
-(adequate here, since only small matrix groups live over the big levels).
+Fields with at most TABLE_MAX elements get full add/mul/inv tables (a tower
+level builds its rows from the base field's tables); larger levels fall back
+to recursive pair arithmetic with memoised product caches (adequate here,
+since only small matrix groups live over the big levels).
 """
 
 from __future__ import annotations
@@ -56,28 +57,39 @@ class FiniteField:
 
     def _build_tables(self):
         n = self.size
-        add = [[0] * n for _ in range(n)]
-        mul = [[0] * n for _ in range(n)]
-        for a in range(n):
-            row_a, row_m = add[a], mul[a]
-            for b in range(a, n):
-                s = self._add_slow(a, b)
-                p = self._mul_slow(a, b)
-                row_a[b] = s
-                add[b][a] = s
-                row_m[b] = p
-                mul[b][a] = p
+        if self.base is None:
+            add = [[self._add_slow(a, b) for b in range(n)] for a in range(n)]
+            mul = [[self._mul_slow(a, b) for b in range(n)] for a in range(n)]
+        else:
+            add, mul = self._tower_tables()
         self.add_table = add
         self.mul_table = mul
         self.neg_table = [self._neg_slow(a) for a in range(n)]
-        inv = [0] * n
-        for a in range(1, n):
-            for b in range(1, n):
-                if mul[a][b] == 1:
-                    inv[a] = b
-                    break
-        self.inv_table = inv
+        self.inv_table = [0] + [mul[a].index(1) for a in range(1, n)]
         self._tables_ready = True
+
+    def _tower_tables(self) -> tuple[list[list[int]], list[list[int]]]:
+        # rows from the base field's tables; b = b0 + b1 * half runs with b1
+        # outer, so a row is the concatenation over b1 of runs in b0, and
+        # (a0 + a1 z)(b0 + b1 z) = (a0 b0 + a1 b1 w) + (a0 b1 + a1 b0) z.
+        # Entries are taken from enc[hi][lo] = lo + hi * half, so the tables
+        # share one int object per field element.
+        half = self.half
+        A, M = self.base.add_table, self.base.mul_table
+        w = self.base.omega
+        enc = [[lo + hi * half for lo in range(half)] for hi in range(half)]
+        add, mul = [], []
+        for a in range(self.size):
+            a0, a1 = self._split(a)
+            A0, A1, M0, M1, M1w = A[a0], A[a1], M[a0], M[a1], M[M[a1][w]]
+            row_a, row_m = [], []
+            for b1 in range(half):
+                row_a += map(enc[A1[b1]].__getitem__, A0)
+                lo, hi = A[M1w[b1]], A[M0[b1]]
+                row_m += [enc[hi[y]][lo[x]] for x, y in zip(M0, M1)]
+            add.append(row_a)
+            mul.append(row_m)
+        return add, mul
 
     def _check_irreducible(self):
         # z^2 - omega_base irreducible over the base iff omega_base is a

@@ -114,6 +114,13 @@ class MatrixAction:
     def inv(self, x: Element) -> Element:
         f = self.field
         a, b, c, d = x
+        if f._tables_ready:
+            M, N = f.mul_table, f.neg_table
+            dt = f.add_table[M[a][d]][N[M[b][c]]]
+            if not dt:
+                raise ZeroDivisionError("inverse of a singular matrix")
+            Mi = M[f.inv_table[dt]]
+            return (Mi[d], Mi[N[b]], Mi[N[c]], Mi[a])
         dt = f.sub(f.mul(a, d), f.mul(b, c))
         di = f.inv(dt)
         return (
@@ -287,17 +294,17 @@ class FiniteGroup:
         generators so enumeration conventions match generated groups.
         """
         element_set = set(elements)
+        cap = len(element_set) + 1
         gens: list[Element] = []
         closed = {action.identity}
         for e in sorted(element_set):
             if e in closed:
                 continue
             gens.append(e)
-            group = cls.generate(action, gens, cap=len(element_set) + 1)
-            closed = set(group.elements)
+            _adjoin(action, closed, gens, cap)
         if closed != element_set:
             raise ValueError("element set is not closed under the group operations")
-        return cls.generate(action, gens, cap=len(element_set) + 1, name=name, marks=marks)
+        return cls.generate(action, gens, cap=cap, name=name, marks=marks)
 
     # -- basic queries -------------------------------------------------------
 
@@ -363,6 +370,27 @@ class FiniteGroup:
         for e in self.elements:
             result = lcm(result, self.element_order(e))
         return result
+
+
+def _adjoin(action: Action, closed: set, gens: Sequence[Element], cap: int) -> None:
+    """One Dimino step: grow the element set of H = <gens[:-1]> to <gens>.
+
+    <gens> is a union of right cosets H r.  The representatives r are walked
+    and, whenever r s lies outside the set for a generator s, the whole coset
+    H (r s) is new and is added at once.
+    """
+    mul = action.mul
+    H = list(closed)
+    reps = [action.identity]
+    for r in reps:  # reps grows during the walk
+        for s in gens:
+            x = mul(r, s)
+            if x in closed:
+                continue
+            reps.append(x)
+            closed.update([mul(h, x) for h in H])
+            if len(closed) > cap:
+                raise CapExceeded(f"closure exceeded cap {cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -775,7 +803,7 @@ def _greedy_generators(G: FiniteGroup) -> list[Element]:
         if e in closed:
             continue
         gens.append(e)
-        closed = set(FiniteGroup.generate(G.action, gens, cap=G.order + 1).elements)
+        _adjoin(G.action, closed, gens, G.order + 1)
         if len(closed) == G.order:
             break
     return gens
@@ -895,10 +923,13 @@ def conjugation_permutation(N_action: Action, g: Element, P: FiniteGroup) -> Ele
     return tuple(images)
 
 
-def _coset_key(inner: FiniteGroup, phi: Element) -> Element:
-    """Label of the coset inner * phi: its least element."""
-    mul = inner.action.mul
-    return min(mul(psi, phi) for psi in inner.elements)
+def _coset_key(inner: FiniteGroup, base: Sequence[int], phi: Element) -> Element:
+    """Label of the coset inner * phi: the member psi * phi whose images of
+    the base points are least.  An automorphism is fixed by its base images,
+    so only that one member is built in full."""
+    images = [phi[b] for b in base]
+    psi = min(inner.elements, key=lambda psi: tuple(map(psi.__getitem__, images)))
+    return inner.action.mul(psi, phi)
 
 
 def induced_outer(N_generators: Sequence[Element], P: FiniteGroup,
@@ -906,18 +937,22 @@ def induced_outer(N_generators: Sequence[Element], P: FiniteGroup,
     """Image of <N_generators> in Aut(P), modulo Inn(P), as a quotient group.
 
     The automorphism group is never enumerated.  Cosets of Inn(P) inside the
-    image are explored by orbit, each coset keyed by the minimum of its
-    element tuples; the result is the regular permutation action of the outer
-    group on those cosets, generated by the permutations the orbit induces.
+    image are explored by orbit, each coset keyed by its member with the least
+    images of P's generators (the base); the result is the regular permutation
+    action of the outer group on those cosets, generated by the permutations
+    the orbit induces.
     """
     action = action or P.action
     perm_action = PermAction(P.order)
     gen_perms = [conjugation_permutation(action, g, P) for g in N_generators]
     inner_gens = [conjugation_permutation(action, g, P) for g in P.generators]
     inner = FiniteGroup.generate(perm_action, inner_gens, cap=P.order ** 2)
+    base = [P.index[x] for x in P.generators]
     pmul = perm_action.mul
-    cosets, out_gens = _orbit(min(inner.elements), gen_perms,
-                              lambda rep, gp: _coset_key(inner, pmul(rep, gp)))
+    # the label of Inn(P) itself: its member with the least base images
+    start = min(inner.elements, key=lambda psi: [psi[b] for b in base])
+    cosets, out_gens = _orbit(start, gen_perms,
+                              lambda rep, gp: _coset_key(inner, base, pmul(rep, gp)))
     n = len(cosets)
     Q = FiniteGroup.generate(PermAction(n), out_gens, cap=n + 1)
     if Q.order != n:

@@ -46,6 +46,18 @@ def test_exhaustive_inverses_small_levels(size, field):
         assert field.mul(a, field.inv(a)) == 1
 
 
+@pytest.mark.parametrize("level", [1, 2])
+def test_tower_tables_match_pair_arithmetic(level):
+    f = tower_field(level)
+    n = f.size
+    for a in range(n):
+        assert f.add_table[a] == [f._add_slow(a, b) for b in range(n)]
+        assert f.mul_table[a] == [f._mul_slow(a, b) for b in range(n)]
+    assert f.neg_table == [f._neg_slow(a) for a in range(n)]
+    assert f.inv_table[0] == 0
+    assert all(f._mul_slow(a, f.inv_table[a]) == 1 for a in range(1, n))
+
+
 def test_field_axioms_randomized():
     rng = random.Random(7)
     for level in (1, 2, 3):

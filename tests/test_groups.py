@@ -151,6 +151,13 @@ def test_matrix_arithmetic_matches_reference(level):
     check_arithmetic(act, elements, ref_mat_mul, ref_mat_inv, rng, 500)
 
 
+@pytest.mark.parametrize("level", [1, 2, 4])
+def test_matrix_inverse_singular_raises(level):
+    # the table path (GF(25), GF(625)) fails like the field-method path
+    with pytest.raises(ZeroDivisionError):
+        MatrixAction(tower_field(level)).inv((1, 2, 1, 2))
+
+
 def test_triple_arithmetic_slow_field():
     act = CentralTripleAction(tower_field(4))
     assert not act.field._tables_ready
@@ -189,6 +196,45 @@ def test_enumeration_deterministic():
     a = FiniteGroup.generate(PermAction(4), gens)
     b = FiniteGroup.generate(PermAction(4), gens)
     assert a.elements == b.elements
+
+
+def ref_greedy(action, elements):
+    """Greedy generators, closing each prefix from scratch."""
+    gens, closed = [], {action.identity}
+    for e in elements:
+        if e not in closed:
+            gens.append(e)
+            closed = set(FiniteGroup.generate(action, gens).elements)
+    return gens, closed
+
+
+@pytest.mark.parametrize("spec", ["S5", "wr(S3,S3)", "GL(4,2)", "SL2(5)", "quat(16)"])
+def test_greedy_closure_matches_from_scratch_reference(spec):
+    G = named_group(spec)
+    elements = list(G.elements)
+    random.Random(600).shuffle(elements)
+    gens, closed = ref_greedy(G.action, sorted(elements))
+    H = FiniteGroup.from_elements(G.action, elements)
+    assert closed == set(G.elements)
+    assert H.generators == tuple(gens)
+    assert H.elements == FiniteGroup.generate(G.action, gens).elements
+    assert groups._greedy_generators(G) == ref_greedy(G.action, G.elements)[0]
+
+
+def test_from_elements_sylow_of_model(sol0):
+    S = sol0.sylow
+    H = FiniteGroup.from_elements(S.action, S.elements)
+    gens, _ = ref_greedy(S.action, sorted(S.elements))
+    assert H.generators == tuple(gens)
+    assert H.elements == FiniteGroup.generate(S.action, gens).elements
+
+
+def test_from_elements_rejects_non_subgroups():
+    s3 = symmetric_group(3)
+    with pytest.raises(CapExceeded):  # two transpositions close to all of S3
+        FiniteGroup.from_elements(s3.action, [s3.identity, (1, 0, 2), (0, 2, 1)])
+    with pytest.raises(ValueError):  # closure one element larger than the set
+        FiniteGroup.from_elements(s3.action, s3.elements[:-1])
 
 
 # -- conjugacy classes ---------------------------------------------------------
@@ -416,9 +462,9 @@ def test_induced_outer_one_coset_key_per_image(monkeypatch):
     calls = []
     coset_key = groups._coset_key
 
-    def counted(inner, phi):
-        calls.append(phi)
-        return coset_key(inner, phi)
+    def counted(*args):
+        calls.append(args[-1])
+        return coset_key(*args)
 
     monkeypatch.setattr(groups, "_coset_key", counted)
     G = named_group("wr(S3,S3)")
@@ -428,6 +474,55 @@ def test_induced_outer_one_coset_key_per_image(monkeypatch):
     # the outer group acts regularly, so it has one point per coset
     assert out.order > 1
     assert len(calls) == out.order * len(N.generators)
+
+
+def ref_induced_outer(N_generators, P, action=None):
+    """induced_outer with each coset keyed by its least full permutation tuple."""
+    action = action or P.action
+    perm_action = PermAction(P.order)
+    pmul = perm_action.mul
+    gen_perms = [groups.conjugation_permutation(action, g, P) for g in N_generators]
+    inner = FiniteGroup.generate(
+        perm_action, [groups.conjugation_permutation(action, g, P) for g in P.generators])
+
+    def key(phi):
+        return min(pmul(psi, phi) for psi in inner.elements)
+
+    cosets, out_gens = groups._orbit(min(inner.elements), gen_perms,
+                                     lambda rep, gp: key(pmul(rep, gp)))
+    return FiniteGroup.generate(PermAction(len(cosets)), out_gens)
+
+
+def q8_in_sl2_5(_model):
+    sl2 = named_group("SL2(5)")
+    Q = FiniteGroup.generate(sl2.action, [(2, 0, 0, 3), (0, 4, 1, 0)], cap=9)
+    return normalizer(sl2, Q).generators, Q, sl2.action
+
+
+def sylow3_of_wreath(_model):
+    G = named_group("wr(S3,S3)")
+    P = sylow_subgroup(G, 3)
+    return normalizer(G, P).generators, P, None
+
+
+def q_row_l0(model):
+    # the explicit generators of N_K(Q), as in verify_k_radicals_l0
+    from solweights.solmodel import _diag, _embed
+
+    act = model.action
+    n_gens = [_embed(act, tuple(g), i) for i in range(3) for g in model.sl2_normalizer_gens]
+    n_gens += [_diag(act, model.c), model.d, model.tau, model.rho]
+    return n_gens, model.r0, act
+
+
+@pytest.mark.parametrize("case,order", [(q8_in_sl2_5, 3), (sylow3_of_wreath, 4),
+                                        (q_row_l0, 324)])
+def test_induced_outer_matches_full_tuple_reference(sol0, case, order):
+    n_gens, P, action = case(sol0)
+    out = induced_outer(n_gens, P, action=action)
+    ref = ref_induced_outer(n_gens, P, action=action)
+    assert out.order == ref.order == order
+    assert out.generators == ref.generators
 
 
 # -- structural helpers -------------------------------------------------------------------
