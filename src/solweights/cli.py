@@ -17,6 +17,7 @@ import time
 
 from . import groups
 from .errors import CapExceeded, SolweightsError, UnknownSpec
+from .util import check
 
 ENV_CAP = "SOLWEIGHTS_CAP"
 
@@ -47,11 +48,6 @@ def _emit(report: dict, as_json: bool) -> int:
     return 0 if all(c["pass"] for c in report["checks"]) else 1
 
 
-def _check(name: str, expected, computed) -> dict:
-    return {"check": name, "expected": expected, "computed": computed,
-            "pass": expected == computed}
-
-
 DEF0_TABLE = [
     ("S3", 1), ("x(S3,S3)", 1), ("x(S3,x(S3,S3))", 1), ("wr(S3,C2)", 0),
     ("dih(C3xC3)", 4), ("m324", 1), ("GL(3,2)", 1), ("GL(4,2)", 1),
@@ -80,7 +76,7 @@ def cmd_table_def0(args) -> int:
     checks = []
     for spec, expected in DEF0_TABLE:
         count, _ = defect_zero_block_count(named_group(spec), threads=args.threads)
-        checks.append(_check(f"z({spec})", expected, count))
+        checks.append(check(f"z({spec})", expected, count))
     matched = sum(1 for c in checks if c["pass"])
     report = _report("table-def0", {}, {"matched": f"{matched}/{len(checks)}"},
                      checks, time.monotonic() - t0)
@@ -92,11 +88,11 @@ def cmd_weights(args) -> int:
 
     t0 = time.monotonic()
     w = weight_count(args.system, args.l)
-    checks = [_check(f"w({args.system}, {args.l}) = 12", 12, w["total"])]
+    checks = [check(f"w({args.system}, {args.l}) = 12", 12, w["total"])]
     if args.system == "F" and args.l == 0:
         expected = (1, 1, 4, 1, 1, 0, 1, 1, 1, 1)
-        checks.append(_check("per-row z-vector", list(expected),
-                             [r["z"] for r in w["rows"]]))
+        checks.append(check("per-row z-vector", list(expected),
+                            [r["z"] for r in w["rows"]]))
     report = _report("weights", {"system": args.system, "l": args.l},
                      {"total": w["total"], "rows": w["rows"]},
                      checks, time.monotonic() - t0)
@@ -162,8 +158,9 @@ def cmd_lim(args) -> int:
 
     t0 = time.monotonic()
     rep = verify_lim_A2(args.l)
-    checks = [_check("lim = 0", 0, rep["lim_dim"]),
-              _check("criterion", "a" if args.l >= 1 else "b", rep["criterion"])]
+    checks = [check("lim = 0", 0, rep["lim_dim"]),
+              check("criterion", "a" if args.l >= 1 else "b", rep["criterion"]),
+              check("verify_lim_A2 verdict", True, rep["pass"])]
     report = _report("lim", {"l": args.l}, rep, checks, time.monotonic() - t0)
     return _emit(report, args.json)
 

@@ -15,10 +15,9 @@ since only small matrix groups live over the big levels).
 
 from __future__ import annotations
 
-TABLE_MAX = 1024
+import functools
 
-_PRIME_CACHE: dict[int, "FiniteField"] = {}
-_TOWER_CACHE: dict[int, "FiniteField"] = {}
+TABLE_MAX = 1024
 
 
 class FiniteField:
@@ -218,27 +217,20 @@ class FiniteField:
         return f"GF({self.char}^{2 ** self.level})"
 
 
+@functools.cache
 def prime_field(p: int) -> FiniteField:
     """GF(p) for a prime p (2, 3, 5 are the ones used here)."""
-    field = _PRIME_CACHE.get(p)
-    if field is None:
-        field = FiniteField(p, 0, None)
-        _PRIME_CACHE[p] = field
-    return field
+    return FiniteField(p, 0, None)
 
 
+@functools.cache
 def tower_field(level: int) -> FiniteField:
     """GF(5^(2^level)) in the fixed quadratic tower."""
     if level < 0:
         raise ValueError("tower level must be non-negative")
-    field = _TOWER_CACHE.get(level)
-    if field is None:
-        if level == 0:
-            field = prime_field(5)
-        else:
-            field = FiniteField(5, level, tower_field(level - 1))
-        _TOWER_CACHE[level] = field
-    return field
+    if level == 0:
+        return prime_field(5)
+    return FiniteField(5, level, tower_field(level - 1))
 
 
 def field_tower(level: int) -> tuple[FiniteField, FiniteField, int]:

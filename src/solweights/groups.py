@@ -38,7 +38,7 @@ from .errors import (
 )
 from .fields import FiniteField
 
-DEFAULT_CAP = 5_000_000
+DEFAULT_CAP = 5_000_000  # bounds every closure and orbit; the CLI lowers it with --cap
 
 Element = tuple
 
@@ -263,7 +263,7 @@ class FiniteGroup:
                  cap: int | None = None, name: str | None = None,
                  marks: dict | None = None) -> "FiniteGroup":
         """Closure of the generators under the action, breadth first."""
-        cap = DEFAULT_CAP if cap is None else cap
+        cap = DEFAULT_CAP if cap is None else min(cap, DEFAULT_CAP)
         identity = action.identity
         elements = [identity]
         index = {identity: 0}
@@ -405,6 +405,7 @@ def _orbit(start, generators: Sequence, act: Callable,
     Returns the points in the order found and, for each generator, the
     permutation it induces on them as the tuple of image positions.
     """
+    cap = DEFAULT_CAP if cap is None else min(cap, DEFAULT_CAP)
     points = [start]
     position = {start: 0}
     perms: list[list[int]] = [[] for _ in generators]
@@ -415,7 +416,7 @@ def _orbit(start, generators: Sequence, act: Callable,
             if j is None:
                 j = position[image] = len(points)
                 points.append(image)
-                if cap is not None and len(points) > cap:
+                if len(points) > cap:
                     raise OrbitCapExceeded(f"orbit exceeded cap {cap}")
             perm.append(j)
     return points, [tuple(perm) for perm in perms]

@@ -21,11 +21,10 @@ so the CLI can emit them directly.
 
 from __future__ import annotations
 
+import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import CapExceeded
-from .fields import field_tower
 from .groups import (
     CentralTripleAction,
     FiniteGroup,
@@ -45,15 +44,8 @@ from .groups import (
     sylow_subgroup,
     two_core,
 )
-from .zoo import named_group, sl2_group
-
-_MODEL_CACHE: dict[int, "SolModel"] = {}
-_REPORT_CACHE: dict[tuple, dict] = {}
-
-
-def _check(name: str, l: int, expected, computed) -> dict:
-    return {"check": name, "l": l, "expected": expected, "computed": computed,
-            "pass": expected == computed}
+from .util import check
+from .zoo import named_group, quaternion_frame, sl2_group
 
 
 @dataclass
@@ -79,10 +71,7 @@ class SolModel:
     tau_prime: tuple
     rho: tuple                   # 3-cycle of the coordinate permutation group
     factor_q: list[FiniteGroup]       # Q_i, per-factor quaternion subgroups
-    factor_q_prime: list[FiniteGroup]
-    factor_r: list[FiniteGroup]       # R_i
     sl2_normalizer_gens: list[tuple]  # matrix generators of N_{SL2(q)}(Q8-part)
-    marks: dict = field(default_factory=dict)
 
 
 def _embed(action: CentralTripleAction, m: tuple, slot: int) -> tuple:
@@ -96,27 +85,16 @@ def _diag(action: CentralTripleAction, m: tuple) -> tuple:
     return action.make(m, m, m)
 
 
+@functools.cache
 def build_sol_model(level: int) -> SolModel:
-    """Build the marked model at level l in {0, 1}; results are cached."""
+    """Build the marked model at level l in {0, 1}; results are memoized."""
     if level not in (0, 1):
         raise ValueError("model levels 0 and 1 only")
-    if level in _MODEL_CACHE:
-        return _MODEL_CACHE[level]
-    fq, fq2, omega = field_tower(level)
-    action = CentralTripleAction(fq2)
+    frame = quaternion_frame(level)
+    x, y, c = frame.x, frame.y, frame.c
+    x_q = frame.q8.generators[0]  # x^(2^level)
+    action = CentralTripleAction(frame.action.field)
     mat = action.mat
-    x = (fq2.embed(omega), 0, 0, fq2.inv(fq2.embed(omega)))
-    y = (0, fq2.neg(1), 1, 0)
-    z_elt = fq2.omega
-    c = (fq2.inv(z_elt), 0, 0, z_elt)
-    if mat.mul(c, c) != mat.inv(x):
-        raise RuntimeError("c^2 = x^-1 fails")
-
-    # per-factor matrix groups over the subfield, viewed inside F_{q^2}
-    R_mat = FiniteGroup.generate(mat, [x, y], cap=2 ** (level + 4))
-    x_q = _pow_mat(mat, x, 2 ** level)
-    q_mat = FiniteGroup.generate(mat, [x_q, y], cap=16)
-    q_prime_mat = FiniteGroup.generate(mat, [x_q, mat.mul(x, y)], cap=16)
 
     tau = action.make(mat.identity, mat.identity, mat.identity, (1, 0, 2))
     rho = action.make(mat.identity, mat.identity, mat.identity, (1, 2, 0))
@@ -147,58 +125,24 @@ def build_sol_model(level: int) -> SolModel:
 
     q_i = [FiniteGroup.generate(action, [_embed(action, x_q, i), _embed(action, y, i)],
                                 cap=9) for i in range(3)]
-    q_prime_i = [FiniteGroup.generate(
-        action, [_embed(action, x_q, i), _embed(action, mat.mul(x, y), i)], cap=9)
-        for i in range(3)]
 
-    # generators of K: the three SL_2(q) factors, the diagonal, and the
-    # permutation part
+    # generators of K: the three SL_2(q) factors (subfield encodings embed
+    # unchanged), the diagonal, and the permutation part
     sl2 = sl2_group(level)
-    sl2_in_big = [tuple(fq2.embed(v) for v in g) for g in sl2.generators]
-    k_gens = [_embed(action, g, i) for i in range(3) for g in sl2_in_big]
+    k_gens = [_embed(action, g, i) for i in range(3) for g in sl2.generators]
     k_gens += [cdiag, tau, rho]
-    q = fq.size
+    q = sl2.action.field.size
     k_order = 6 * (q * (q - 1) * (q + 1)) ** 3
 
-    # per-factor normalizer of the Q8-part inside SL_2(q), by scan (cached
-    # with the model)
-    norm_gens = _sl2_q8_normalizer_gens(level)
-
-    model = SolModel(
+    return SolModel(
         level=level, action=action, mat_action=mat, x=x, y=y, c=c,
         k_generators=k_gens, k_order=k_order, sylow=sylow, r0=r0,
         torus=torus, z=z, z_group=z_group, u_group=u_group, e_group=e_group,
         a_group=a_group, d=d, tau=tau, tau_prime=action.mul(d, tau), rho=rho,
-        factor_q=q_i, factor_q_prime=q_prime_i, factor_r=r_i,
-        sl2_normalizer_gens=norm_gens,
+        factor_q=q_i,
+        # per-factor normalizer of the Q8-part inside SL_2(q), by scan
+        sl2_normalizer_gens=list(normalizer(sl2, frame.q8).generators),
     )
-    _MODEL_CACHE[level] = model
-    return model
-
-
-def _pow_mat(mat: MatrixAction, m: tuple, e: int) -> tuple:
-    acc = mat.identity
-    base = m
-    while e:
-        if e & 1:
-            acc = mat.mul(acc, base)
-        base = mat.mul(base, base)
-        e >>= 1
-    return acc
-
-
-def _sl2_q8_normalizer_gens(level: int) -> list[tuple]:
-    """Generators of the normalizer in SL_2(q) of the standard Q8 subgroup
-    of the quaternion frame, found by exhaustive scan of SL_2(q)."""
-    fq, fq2, omega = field_tower(level)
-    sl2 = sl2_group(level)
-    mat = sl2.action
-    x = (omega, 0, 0, fq.inv(omega))
-    y = (0, fq.neg(1), 1, 0)
-    x_q = _pow_mat(mat, x, 2 ** level)
-    Q = FiniteGroup.generate(mat, [x_q, y], cap=16)
-    N = normalizer(sl2, Q)
-    return list(N.generators)
 
 
 # ---------------------------------------------------------------------------
@@ -233,32 +177,24 @@ def _q8_subgroups(R: FiniteGroup) -> set[tuple]:
     return quats
 
 
+@functools.cache
 def verify_quaternion_lemma(level: int) -> dict:
     """Exhaustive check of the quaternion frame structure at 1 <= l <= 3."""
-    key = ("quat", level)
-    if key in _REPORT_CACHE:
-        return _REPORT_CACHE[key]
     if not 1 <= level <= 3:
         raise ValueError("quaternion verification is for levels 1..3")
     t0 = time.monotonic()
-    fq, fq2, omega = field_tower(level)
-    mat = MatrixAction(fq2)
-    x = (fq2.embed(omega), 0, 0, fq2.inv(fq2.embed(omega)))
-    y = (0, fq2.neg(1), 1, 0)
-    z_elt = fq2.omega
-    c = (fq2.inv(z_elt), 0, 0, z_elt)
-    R = FiniteGroup.generate(mat, [x, y], cap=2 ** (level + 4))
+    mat, x, y, c, R, Q = quaternion_frame(level)
     checks = []
     n = 2 ** (level + 2)
-    checks.append(_check("order of <x,y>", level, 2 ** (level + 3), R.order))
+    checks.append(check("order of <x,y>", 2 ** (level + 3), R.order, l=level))
 
     # relations
-    rel = (_pow_mat(mat, x, n) == mat.identity
-           and _pow_mat(mat, y, 4) == mat.identity
-           and _pow_mat(mat, x, n // 2) == mat.mul(y, y)
+    rel = (R.power(x, n) == mat.identity
+           and R.power(y, 4) == mat.identity
+           and R.power(x, n // 2) == mat.mul(y, y)
            and mat.mul(mat.mul(mat.inv(y), x), y) == mat.inv(x))
-    checks.append(_check("defining relations", level, True, rel))
-    checks.append(_check("c^2 = x^-1", level, True, mat.mul(c, c) == mat.inv(x)))
+    checks.append(check("defining relations", True, rel, l=level))
+    checks.append(check("c^2 = x^-1", True, mat.mul(c, c) == mat.inv(x), l=level))
 
     # (a) normal forms x^i y^j
     powers = {mat.identity}
@@ -269,12 +205,12 @@ def verify_quaternion_lemma(level: int) -> dict:
     forms = set(powers)
     for e in powers:
         forms.add(mat.mul(e, y))
-    checks.append(_check("normal forms x^i y^j", level, R.order, len(forms)))
+    checks.append(check("normal forms x^i y^j", R.order, len(forms), l=level))
 
     # (b) elements outside <x> have order 4
     outside = [e for e in R.elements if e not in powers]
-    checks.append(_check("outside <x> all order 4", level, True,
-                         all(R.element_order(e) == 4 for e in outside)))
+    checks.append(check("outside <x> all order 4", True,
+                        all(R.element_order(e) == 4 for e in outside), l=level))
 
     # (c) x^i y ~ x^j y iff i = j mod 2
     class_of = class_index_table(R)
@@ -285,23 +221,22 @@ def verify_quaternion_lemma(level: int) -> dict:
         acc = mat.mul(acc, x)
     parity_ok = all((xy_class[i] == xy_class[j]) == ((i - j) % 2 == 0)
                     for i in range(n) for j in range(n))
-    checks.append(_check("x^i y fusion parity", level, True, parity_ok))
+    checks.append(check("x^i y fusion parity", True, parity_ok, l=level))
 
     # (d) exhaustive list of order-8 quaternion subgroups
     quats = _q8_subgroups(R)
-    checks.append(_check("number of Q8 subgroups", level, 2 ** level, len(quats)))
-    x_2l = _pow_mat(mat, x, 2 ** level)
+    checks.append(check("number of Q8 subgroups", 2 ** level, len(quats), l=level))
+    x_2l = Q.generators[0]
     predicted = set()
     acc = mat.identity
     for i in range(n):
         H = FiniteGroup.generate(mat, [x_2l, mat.mul(acc, y)], cap=9)
         predicted.add(tuple(sorted(H.elements)))
         acc = mat.mul(acc, x)
-    checks.append(_check("Q8 subgroups are <x^(2^l), x^i y>", level, True,
-                         predicted == quats))
+    checks.append(check("Q8 subgroups are <x^(2^l), x^i y>", True,
+                        predicted == quats, l=level))
 
     # (e) two conjugacy classes of length 2^(l-1)
-    Q = FiniteGroup.generate(mat, [x_2l, y], cap=9)
     Qp = FiniteGroup.generate(mat, [x_2l, mat.mul(x, y)], cap=9)
     orbits = []
     remaining = set(quats)
@@ -311,37 +246,35 @@ def verify_quaternion_lemma(level: int) -> dict:
         orbits.append(orbit)
         remaining -= orbit
     lengths = sorted(len(o) for o in orbits)
-    checks.append(_check("two classes of length 2^(l-1)", level,
-                         [2 ** (level - 1)] * 2, lengths))
+    checks.append(check("two classes of length 2^(l-1)",
+                        [2 ** (level - 1)] * 2, lengths, l=level))
     q_key = tuple(sorted(Q.elements))
     qp_key = tuple(sorted(Qp.elements))
     split = any(q_key in o and qp_key not in o for o in orbits)
-    checks.append(_check("Q and Q' represent distinct classes", level, True, split))
+    checks.append(check("Q and Q' represent distinct classes", True, split, l=level))
 
     # (f) N_R(Q) = <Q, x^(2^(l-1))>
     NQ = normalizer(R, Q)
-    x_half = _pow_mat(mat, x, 2 ** (level - 1))
+    x_half = R.power(x, 2 ** (level - 1))
     NQ_expected = FiniteGroup.generate(mat, list(Q.generators) + [x_half],
                                        cap=R.order + 1)
-    checks.append(_check("N_R(Q) = <Q, x^(2^(l-1))>", level, True,
-                         set(NQ.elements) == set(NQ_expected.elements)))
+    checks.append(check("N_R(Q) = <Q, x^(2^(l-1))>", True,
+                        set(NQ.elements) == set(NQ_expected.elements), l=level))
     NQp = normalizer(R, Qp)
     NQp_expected = FiniteGroup.generate(mat, list(Qp.generators) + [x_half],
                                         cap=R.order + 1)
-    checks.append(_check("N_R(Q') = <Q', x^(2^(l-1))>", level, True,
-                         set(NQp.elements) == set(NQp_expected.elements)))
+    checks.append(check("N_R(Q') = <Q', x^(2^(l-1))>", True,
+                        set(NQp.elements) == set(NQp_expected.elements), l=level))
 
     # conjugation by c swaps the two subgroup classes
     c_conj = tuple(sorted(mat.mul(mat.mul(mat.inv(c), e), c) for e in Q.elements))
     q_class = next(o for o in orbits if q_key in o)
     qp_class = next(o for o in orbits if qp_key in o)
-    checks.append(_check("c fuses the two classes", level, True,
-                         c_conj in qp_class and q_key in q_class))
+    checks.append(check("c fuses the two classes", True,
+                        c_conj in qp_class and q_key in q_class, l=level))
 
-    report = {"command": "verify-quaternion", "l": level, "checks": checks,
-              "elapsed_s": round(time.monotonic() - t0, 3)}
-    _REPORT_CACHE[key] = report
-    return report
+    return {"command": "verify-quaternion", "l": level, "checks": checks,
+            "elapsed_s": round(time.monotonic() - t0, 3)}
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +282,10 @@ def verify_quaternion_lemma(level: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def verify_torus_sequence(level: int) -> dict:
     """Torus structure, the quotient type of S/T, the rank sequence, and the
     uniqueness searches (exhaustive at l = 0, skipped with a flag at l = 1)."""
-    key = ("torus", level)
-    if key in _REPORT_CACHE:
-        return _REPORT_CACHE[key]
     t0 = time.monotonic()
     model = build_sol_model(level)
     S, T = model.sylow, model.torus
@@ -362,51 +293,49 @@ def verify_torus_sequence(level: int) -> dict:
     checks = []
     skipped = []
 
-    checks.append(_check("|S| = 2^(10+3l)", level, 2 ** (10 + 3 * level), S.order))
-    checks.append(_check("|T| = (2^(l+2))^3", level, (2 ** (level + 2)) ** 3, T.order))
-    checks.append(_check("T normal in S", level, True, is_normal(S, T)))
-    checks.append(_check("T homocyclic of rank 3", level,
-                         (2 ** (level + 2),) * 3, abelian_invariants(T)))
+    checks.append(check("|S| = 2^(10+3l)", 2 ** (10 + 3 * level), S.order, l=level))
+    checks.append(check("|T| = (2^(l+2))^3", (2 ** (level + 2)) ** 3, T.order, l=level))
+    checks.append(check("T normal in S", True, is_normal(S, T), l=level))
+    checks.append(check("T homocyclic of rank 3",
+                        (2 ** (level + 2),) * 3, abelian_invariants(T), l=level))
 
     quotient = quotient_group(S, T)
     target = named_group("x(C2,D8)")
-    checks.append(_check("S/T order", level, 16, quotient.order))
-    checks.append(_check("S/T is C2 x D8", level, "isomorphism-verified",
-                         identify(quotient, target)))
+    checks.append(check("S/T order", 16, quotient.order, l=level))
+    checks.append(check("S/T is C2 x D8", "isomorphism-verified",
+                        identify(quotient, target), l=level))
 
     inverted = all(action.mul(model.d, action.mul(t, model.d)) == action.inv(t)
                    for t in T.elements)
-    checks.append(_check("d inverts T elementwise", level, True, inverted))
+    checks.append(check("d inverts T elementwise", True, inverted, l=level))
 
-    checks.append(_check("|Z| = 2", level, 2, model.z_group.order))
-    checks.append(_check("Z = Z(S)", level, True,
-                         set(center(S).elements) == set(model.z_group.elements)))
-    checks.append(_check("|U| = 4", level, 4, model.u_group.order))
-    checks.append(_check("|E| = 8, E = Omega_1(T)", level, 8, model.e_group.order))
-    checks.append(_check("E elementary rank 3", level, (2, 2, 2),
-                         abelian_invariants(model.e_group)))
-    checks.append(_check("|A| = 16", level, 16, model.a_group.order))
-    checks.append(_check("A elementary rank 4", level, (2, 2, 2, 2),
-                         abelian_invariants(model.a_group)))
-    checks.append(_check("U normal in S", level, True, is_normal(S, model.u_group)))
+    checks.append(check("|Z| = 2", 2, model.z_group.order, l=level))
+    checks.append(check("Z = Z(S)", True,
+                        set(center(S).elements) == set(model.z_group.elements), l=level))
+    checks.append(check("|U| = 4", 4, model.u_group.order, l=level))
+    checks.append(check("|E| = 8, E = Omega_1(T)", 8, model.e_group.order, l=level))
+    checks.append(check("E elementary rank 3", (2, 2, 2),
+                        abelian_invariants(model.e_group), l=level))
+    checks.append(check("|A| = 16", 16, model.a_group.order, l=level))
+    checks.append(check("A elementary rank 4", (2, 2, 2, 2),
+                        abelian_invariants(model.a_group), l=level))
+    checks.append(check("U normal in S", True, is_normal(S, model.u_group), l=level))
     chain = (model.z_group.is_subgroup_of(model.u_group)
              and model.u_group.is_subgroup_of(model.e_group)
              and model.e_group.is_subgroup_of(model.a_group))
-    checks.append(_check("Z < U < E < A", level, True, chain))
+    checks.append(check("Z < U < E < A", True, chain, l=level))
 
     if level == 0:
-        checks.append(_check("unique normal four subgroup", level, 1,
-                             _count_normal_four_subgroups(S)))
-        checks.append(_check("unique homocyclic C4^3 subgroup", level, 1,
-                             _count_c4_cubed(S, model)))
+        checks.append(check("unique normal four subgroup", 1,
+                            _count_normal_four_subgroups(S), l=level))
+        checks.append(check("unique homocyclic C4^3 subgroup", 1,
+                            _count_c4_cubed(S, model), l=level))
     else:
         skipped.append("uniqueness searches (normal four subgroup, homocyclic "
                        "rank-3 subgroup) are exhaustive at l = 0 only")
 
-    report = {"command": "verify-torus", "l": level, "checks": checks,
-              "skipped": skipped, "elapsed_s": round(time.monotonic() - t0, 3)}
-    _REPORT_CACHE[key] = report
-    return report
+    return {"command": "verify-torus", "l": level, "checks": checks,
+            "skipped": skipped, "elapsed_s": round(time.monotonic() - t0, 3)}
 
 
 def _count_normal_four_subgroups(S: FiniteGroup) -> int:
@@ -483,13 +412,11 @@ def _count_c4_cubed(S: FiniteGroup, model: SolModel) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def sectional_rank_certificate() -> dict:
     """Pin s(S) = 6 at l = 0: a rank-6 elementary abelian section from the
     Frattini quotient of R0, and the bound s(T) + s(S/T) = 3 + 3 from an
     exhaustive scan of the order-16 quotient."""
-    key = ("sectional", 0)
-    if key in _REPORT_CACHE:
-        return _REPORT_CACHE[key]
     t0 = time.monotonic()
     model = build_sol_model(0)
     action = model.action
@@ -498,24 +425,22 @@ def sectional_rank_certificate() -> dict:
     squares = {action.mul(e, e) for e in model.r0.elements}
     frattini = FiniteGroup.generate(action, sorted(squares), cap=model.r0.order)
     frat_quot = quotient_group(model.r0, frattini)
-    checks.append(_check("R0 Frattini quotient rank", 0, (2,) * 6,
-                         abelian_invariants(frat_quot)))
+    checks.append(check("R0 Frattini quotient rank", (2,) * 6,
+                        abelian_invariants(frat_quot), l=0))
     lower = len(abelian_invariants(frat_quot))
 
     t_rank = sum(1 for dk in abelian_invariants(model.torus) if dk % 2 == 0)
-    checks.append(_check("s(T) = 3", 0, 3, t_rank))
+    checks.append(check("s(T) = 3", 3, t_rank, l=0))
 
     quotient = quotient_group(model.sylow, model.torus)
     qs_rank = _sectional_rank_exhaustive(quotient)
-    checks.append(_check("s(S/T) = 3 (exhaustive)", 0, 3, qs_rank))
+    checks.append(check("s(S/T) = 3 (exhaustive)", 3, qs_rank, l=0))
 
     upper = t_rank + qs_rank
-    checks.append(_check("6 <= s(S) <= 6", 0, (6, 6), (lower, upper)))
-    report = {"command": "sectional-rank", "l": 0, "checks": checks,
-              "lower": lower, "upper": upper,
-              "elapsed_s": round(time.monotonic() - t0, 3)}
-    _REPORT_CACHE[key] = report
-    return report
+    checks.append(check("6 <= s(S) <= 6", (6, 6), (lower, upper), l=0))
+    return {"command": "sectional-rank", "l": 0, "checks": checks,
+            "lower": lower, "upper": upper,
+            "elapsed_s": round(time.monotonic() - t0, 3)}
 
 
 def _all_subgroups(G: FiniteGroup) -> list[FiniteGroup]:
@@ -560,6 +485,7 @@ def _sectional_rank_exhaustive(G: FiniteGroup) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def verify_k_radicals_l0() -> dict:
     """The five K-classes at l = 0 with their outer automorphism groups.
 
@@ -569,37 +495,32 @@ def verify_k_radicals_l0() -> dict:
     the closed-form |K|.  Every other normalizer lives inside N_K(Q) because
     the intersection with L0 of each candidate subgroup equals Q.
     """
-    key = ("radicals", 0)
-    if key in _REPORT_CACHE:
-        return _REPORT_CACHE[key]
     t0 = time.monotonic()
     model = build_sol_model(0)
     action = model.action
     checks = []
 
-    checks.append(_check("|K| closed form", 0, 10_368_000, model.k_order))
+    checks.append(check("|K| closed form", 10_368_000, model.k_order, l=0))
 
     # N_K(Q) from explicit generators
     nk_q_gens = [_embed(action, tuple(g), i)
                  for i in range(3) for g in model.sl2_normalizer_gens]
     nk_q_gens += [_diag(action, model.c), model.d, model.tau, model.rho]
     nk_q = FiniteGroup.generate(action, nk_q_gens, cap=100_000, name="N_K(Q)")
-    checks.append(_check("|N_K(Q)| from explicit generators", 0, 82944, nk_q.order))
+    checks.append(check("|N_K(Q)| from explicit generators", 82944, nk_q.order, l=0))
 
     cert = subgroup_orbit(action, model.k_generators, model.r0,
                           cap=1000, ambient_order=model.k_order)
-    checks.append(_check("orbit of Q under K", 0, 125, cert.orbit_size))
-    checks.append(_check("|N_K(Q)| by orbit-stabilizer", 0, 82944,
-                         cert.normalizer_order))
+    checks.append(check("orbit of Q under K", 125, cert.orbit_size, l=0))
+    checks.append(check("|N_K(Q)| by orbit-stabilizer", 82944,
+                        cert.normalizer_order, l=0))
 
     # per-factor cross-check: orbit of Q8 inside SL_2(5)
     sl2 = sl2_group(0)
-    factor_cert = subgroup_orbit(
-        sl2.action, sl2.generators,
-        FiniteGroup.generate(sl2.action, [(2, 0, 0, 3), (0, 4, 1, 0)], cap=9),
-        ambient_order=sl2.order)
-    checks.append(_check("per-factor orbit in SL2(5)", 0, (5, 24),
-                         (factor_cert.orbit_size, factor_cert.normalizer_order)))
+    factor_cert = subgroup_orbit(sl2.action, sl2.generators, quaternion_frame(0).q8,
+                                 ambient_order=sl2.order)
+    checks.append(check("per-factor orbit in SL2(5)", (5, 24),
+                        (factor_cert.orbit_size, factor_cert.normalizer_order), l=0))
 
     rows = [
         ("S", model.sylow, 1, "1"),
@@ -614,8 +535,8 @@ def verify_k_radicals_l0() -> dict:
 
     # C_S(U) really is the centralizer of U in S
     csu_scan = centralizer_of_subgroup(model.sylow, model.u_group)
-    checks.append(_check("C_S(U) = Q<d>", 0, True,
-                         set(csu_scan.elements) == set(rows[4][1].elements)))
+    checks.append(check("C_S(U) = Q<d>", True,
+                        set(csu_scan.elements) == set(rows[4][1].elements), l=0))
 
     out_orders = {}
     for label, P, expected_order, zoo_target in rows:
@@ -623,22 +544,20 @@ def verify_k_radicals_l0() -> dict:
         N = nk_q if P is model.r0 else normalizer(nk_q, P)
         out = induced_outer(N.generators, P, action=action)
         out_orders[label] = out.order
-        checks.append(_check(f"|Out_K({label})|", 0, expected_order, out.order))
+        checks.append(check(f"|Out_K({label})|", expected_order, out.order, l=0))
         target = named_group(zoo_target)
-        checks.append(_check(f"Out_K({label}) type", 0,
-                             "isomorphism-verified" if expected_order <= 400 else
-                             "fingerprint-verified",
-                             identify(out, target)))
+        checks.append(check(f"Out_K({label}) type",
+                            "isomorphism-verified" if expected_order <= 400 else
+                            "fingerprint-verified",
+                            identify(out, target), l=0))
         if label == "Q":
             c_in_n = centralizer_of_subgroup(N, P).order
-            checks.append(_check("|C_N(Q)| = |Z(Q)| = 4", 0, 4, c_in_n))
-            checks.append(_check("|Aut_K(Q)| = 324 * 64", 0, 20736, N.order // c_in_n))
+            checks.append(check("|C_N(Q)| = |Z(Q)| = 4", 4, c_in_n, l=0))
+            checks.append(check("|Aut_K(Q)| = 324 * 64", 20736, N.order // c_in_n, l=0))
 
-    report = {"command": "verify-k-radicals", "l": 0, "checks": checks,
-              "out_orders": out_orders,
-              "elapsed_s": round(time.monotonic() - t0, 3)}
-    _REPORT_CACHE[key] = report
-    return report
+    return {"command": "verify-k-radicals", "l": 0, "checks": checks,
+            "out_orders": out_orders,
+            "elapsed_s": round(time.monotonic() - t0, 3)}
 
 
 # ---------------------------------------------------------------------------
@@ -646,6 +565,7 @@ def verify_k_radicals_l0() -> dict:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def spotcheck_l1() -> dict:
     """Selected l = 1 verifications.
 
@@ -657,97 +577,87 @@ def spotcheck_l1() -> dict:
     extension satisfies the residual chain conditions yet has a normal
     2-subgroup of order 2 in its outer automorphism group.
     """
-    key = ("spot", 1)
-    if key in _REPORT_CACHE:
-        return _REPORT_CACHE[key]
     t0 = time.monotonic()
     model = build_sol_model(1)
     action = model.action
     mat = model.mat_action
     checks = []
 
-    checks.append(_check("|S| = 2^13", 1, 8192, model.sylow.order))
+    checks.append(check("|S| = 2^13", 8192, model.sylow.order, l=1))
 
     # (iii) per-factor certification in SL_2(25)
     sl2 = sl2_group(1)
-    fq, _, omega = field_tower(1)
-    x5 = (omega, 0, 0, fq.inv(omega))
-    y5 = (0, fq.neg(1), 1, 0)
-    x_q = _pow_mat(sl2.action, x5, 2)
-    Q8 = FiniteGroup.generate(sl2.action, [x_q, y5], cap=9)
-    cert = subgroup_orbit(sl2.action, sl2.generators, Q8,
+    cert = subgroup_orbit(sl2.action, sl2.generators, quaternion_frame(1).q8,
                           cap=1000, ambient_order=sl2.order)
-    checks.append(_check("orbit of Q8 under SL2(25)", 1, 325, cert.orbit_size))
-    checks.append(_check("|N_SL2(25)(Q8)| by orbit", 1, 48, cert.normalizer_order))
+    checks.append(check("orbit of Q8 under SL2(25)", 325, cert.orbit_size, l=1))
+    checks.append(check("|N_SL2(25)(Q8)| by orbit", 48, cert.normalizer_order, l=1))
     nq8 = FiniteGroup.generate(sl2.action, model.sl2_normalizer_gens, cap=64)
-    checks.append(_check("|N_SL2(25)(Q8)| by scan", 1, 48, nq8.order))
+    checks.append(check("|N_SL2(25)(Q8)| by scan", 48, nq8.order, l=1))
     involutions = sum(1 for e in nq8.elements if nq8.element_order(e) == 2)
-    checks.append(_check("normalizer has a unique involution", 1, 1, involutions))
+    checks.append(check("normalizer has a unique involution", 1, involutions, l=1))
 
     # (i) Out_K(Q1 Q2 Q3) from the product normalizer
     p0 = FiniteGroup.generate(
         action, [g for Q in model.factor_q for g in Q.generators],
         cap=300, name="Q1Q2Q3")
-    checks.append(_check("|Q1Q2Q3| = 2^8", 1, 256, p0.order))
+    checks.append(check("|Q1Q2Q3| = 2^8", 256, p0.order, l=1))
     n_gens = [_embed(action, tuple(g), i)
               for i in range(3) for g in model.sl2_normalizer_gens]
     n_gens += [model.tau, model.rho]
     out = induced_outer(n_gens, p0, action=action)
-    checks.append(_check("|Out_K(Q1Q2Q3)| = 1296", 1, 1296, out.order))
+    checks.append(check("|Out_K(Q1Q2Q3)| = 1296", 1296, out.order, l=1))
     target = named_group("wr(S3,S3)")
-    checks.append(_check("Out_K(Q1Q2Q3) fingerprint", 1, "fingerprint-verified",
-                         identify(out, target)))
+    checks.append(check("Out_K(Q1Q2Q3) fingerprint", "fingerprint-verified",
+                        identify(out, target), l=1))
 
     # (ii) Out_K(C_S(U)) via the enumerated normalizer of R0
     csu = FiniteGroup.generate(action, list(model.r0.generators) + [model.d],
                                cap=5000, name="C_S(U)")
-    checks.append(_check("|C_S(U)| = 2^12", 1, 4096, csu.order))
+    checks.append(check("|C_S(U)| = 2^12", 4096, csu.order, l=1))
     n_r0 = FiniteGroup.generate(
         action,
         list(model.r0.generators) + [_diag(action, model.c), model.tau, model.rho],
         cap=50_000, name="N_K(R0)")
-    checks.append(_check("|N_K(R0)| container", 1, 24576, n_r0.order))
+    checks.append(check("|N_K(R0)| container", 24576, n_r0.order, l=1))
     n_csu = normalizer(n_r0, csu)
     out_csu = induced_outer(n_csu.generators, csu, action=action)
-    checks.append(_check("|Out_K(C_S(U))| = 6", 1, 6, out_csu.order))
-    checks.append(_check("Out_K(C_S(U)) type", 1, "isomorphism-verified",
-                         identify(out_csu, named_group("S3"))))
+    checks.append(check("|Out_K(C_S(U))| = 6", 6, out_csu.order, l=1))
+    checks.append(check("Out_K(C_S(U)) type", "isomorphism-verified",
+                        identify(out_csu, named_group("S3")), l=1))
 
     # (iv) the non-radical witness P = Q1 Q2 Q3 <s>, s = [x, 1, 1] tau
     s = action.mul(_embed(action, model.x, 0), model.tau)
     s2 = action.mul(s, s)
-    checks.append(_check("s^2 = [x, x, 1]", 1,
-                         action.make(model.x, model.x, mat.identity), s2))
+    checks.append(check("s^2 = [x, x, 1]",
+                        action.make(model.x, model.x, mat.identity), s2, l=1))
     P = FiniteGroup.generate(action, list(p0.generators) + [s], cap=2048,
                              name="Q1Q2Q3<s>")
-    checks.append(_check("|P| = 1024, P/P0 cyclic of order 4", 1, (1024, 4),
-                         (P.order, P.order // p0.order)))
+    checks.append(check("|P| = 1024, P/P0 cyclic of order 4", (1024, 4),
+                        (P.order, P.order // p0.order), l=1))
 
     # container chain: P meet L0 has a unique index-2 subgroup of the
     # central-product type, namely P0, so normalizers of P normalize P0
     p_plus = FiniteGroup.generate(action, list(p0.generators) + [s2], cap=1024)
-    checks.append(_check("|P meet L0| = 512", 1, 512, p_plus.order))
+    checks.append(check("|P meet L0| = 512", 512, p_plus.order, l=1))
     p0_like = _index2_subgroups_matching(p_plus, p0)
-    checks.append(_check("P0 characteristic in P meet L0", 1, 1, p0_like))
+    checks.append(check("P0 characteristic in P meet L0", 1, p0_like, l=1))
 
     m_container = FiniteGroup.generate(
         action,
         [_embed(action, tuple(g), i) for i in range(3)
          for g in model.sl2_normalizer_gens] + [model.tau, model.rho],
         cap=400_000, name="N_K(Q1Q2Q3)")
-    checks.append(_check("|N_K(Q1Q2Q3)| = 48^3/2 * 6", 1, 331776,
-                         m_container.order))
+    checks.append(check("|N_K(Q1Q2Q3)| = 48^3/2 * 6", 331776,
+                        m_container.order, l=1))
     n_p = normalizer(m_container, P)
     out_p = induced_outer(n_p.generators, P, action=action)
     o2 = two_core(out_p)
-    checks.append(_check("witness |O_2(Out_K(P))| = 2 (not radical)", 1, 2,
-                         o2.order))
+    checks.append(check("witness |O_2(Out_K(P))| = 2 (not radical)", 2,
+                        o2.order, l=1))
 
-    report = {"command": "spotcheck", "l": 1, "checks": checks,
-              "out_order_witness": out_p.order,
-              "elapsed_s": round(time.monotonic() - t0, 3)}
-    _REPORT_CACHE[key] = report
-    return report
+    return {"command": "spotcheck", "l": 1, "checks": checks,
+            "out_order_witness": out_p.order,
+            "elapsed_s": round(time.monotonic() - t0, 3)}
 
 
 def _index2_subgroups_matching(big: FiniteGroup, reference: FiniteGroup) -> int:

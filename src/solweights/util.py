@@ -9,6 +9,12 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
+def check(name: str, expected, computed, **context) -> dict:
+    """One check record: {check, *context, expected, computed, pass}."""
+    return {"check": name, **context, "expected": expected, "computed": computed,
+            "pass": expected == computed}
+
+
 def parallel_map(fn: Callable[[T], R], items: Sequence[T], threads: int = 1) -> list[R]:
     """Order-preserving map, optionally through a thread pool.
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import re
+from typing import NamedTuple
 
 from .errors import UnknownSpec
 from .fields import field_tower, tower_field
@@ -211,7 +212,7 @@ def m324() -> FiniteGroup:
 
 
 # ---------------------------------------------------------------------------
-# SL_2(q) and quaternion frames
+# SL_2(q) and the quaternion frame
 # ---------------------------------------------------------------------------
 
 
@@ -245,19 +246,27 @@ def sl2_group(level: int) -> FiniteGroup:
     return G
 
 
-def sl2_with_quaternion_frame(level: int):
-    """The standard quaternion frame inside SL_2(q), q = 5^(2^level).
+class QuaternionFrame(NamedTuple):
+    """The quaternion frame at one level; see :func:`quaternion_frame`."""
 
-    Returns (action over F_{q^2}, x, y, R, c) where x = diag(omega,
-    omega^-1), y is the standard antidiagonal involution-square element,
-    R = <x, y> is generalized quaternion of order 2^(level+3), and
-    c = diag(z^-1, z) over F_{q^2} satisfies c^2 = x^-1.
+    action: MatrixAction   # 2x2 matrices over F_{q^2}
+    x: tuple               # diag(omega, omega^-1)
+    y: tuple               # (0, -1; 1, 0)
+    c: tuple               # diag(z^-1, z), c^2 = x^-1
+    R: FiniteGroup         # <x, y>, generalized quaternion of order 2^(level+3)
+    q8: FiniteGroup        # <x^(2^level), y>
 
-    The ambient SL_2(q) group is available from :func:`sl2_group` at the
-    enumerable levels 0 and 1; the frame itself works up to level 3, where
-    SL_2(q) is far beyond any enumeration cap but R stays tiny.
+
+@functools.cache
+def quaternion_frame(level: int) -> QuaternionFrame:
+    """The standard quaternion frame inside SL_2(q), q = 5^(2^level), 0 <= level <= 3.
+
+    x and y have entries in F_q, and subfield encodings embed unchanged, so
+    R and q8 are also subgroups of :func:`sl2_group` at the enumerable
+    levels 0 and 1.  The frame itself works up to level 3, where SL_2(q) is
+    far beyond any enumeration cap but R stays tiny.
     """
-    fq, fq2, omega = field_tower(level)
+    _, fq2, omega = field_tower(level)
     act = MatrixAction(fq2)
     x = (omega, 0, 0, fq2.inv(omega))
     y = (0, fq2.neg(1), 1, 0)
@@ -269,7 +278,7 @@ def sl2_with_quaternion_frame(level: int):
         raise RuntimeError("quaternion frame has wrong order")
     if act.mul(c, c) != act.inv(x):
         raise RuntimeError("frame element c does not square to x^-1")
-    return act, x, y, R, c
+    return QuaternionFrame(act, x, y, c, R, R.subgroup([R.power(x, 2 ** level), y]))
 
 
 def quaternion_group(order: int) -> FiniteGroup:
@@ -277,8 +286,7 @@ def quaternion_group(order: int) -> FiniteGroup:
     level = order.bit_length() - 4
     if order != 1 << (level + 3) or not 0 <= level <= 3:
         raise UnknownSpec(f"quaternion order must be 8, 16, 32 or 64, got {order}")
-    _, _, _, R, _ = sl2_with_quaternion_frame(level)
-    return R
+    return quaternion_frame(level).R
 
 
 # ---------------------------------------------------------------------------

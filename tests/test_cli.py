@@ -1,10 +1,16 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import solweights
 from solweights.cli import main
+
+# the directory that holds the solweights package, so `python -m solweights`
+# resolves in a child process without an installed package
+SRC = Path(solweights.__file__).parents[1]
 
 
 def run_cli(argv, capsys):
@@ -57,6 +63,15 @@ def test_lim_commands(capsys):
         assert report["results"]["criterion"] == criterion
 
 
+def test_lim_exit_code_follows_verdict(monkeypatch, capsys):
+    # lim = 0 and the right criterion, but a failed verification verdict
+    from solweights import poset_limits
+
+    monkeypatch.setattr(poset_limits, "verify_lim_A2",
+                        lambda l: {"lim_dim": 0, "criterion": "b", "pass": False})
+    assert main(["lim", "--l", "0"]) == 1
+
+
 def test_hasse_dot(capsys):
     code, out = run_cli(["hasse", "--l", "0", "--format", "dot"], capsys)
     assert code == 0
@@ -105,6 +120,16 @@ def test_env_cap(monkeypatch, capsys):
 def test_subprocess_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "solweights", "hasse", "--l", "0"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, cwd=SRC)
     assert proc.returncode == 0
     assert proc.stdout.startswith("digraph")
+
+
+def test_cap_bounds_literal_caps_exit_three():
+    # a fresh process: in this one the memoized model and reports would be
+    # served without any closure running under the cap
+    proc = subprocess.run(
+        [sys.executable, "-m", "solweights", "--cap", "1000", "verify", "sol", "--l", "0"],
+        capture_output=True, text=True, timeout=120, cwd=SRC)
+    assert proc.returncode == 3
+    assert "closure exceeded cap 1000" in proc.stderr

@@ -1,8 +1,10 @@
 import pytest
 
+from solweights import solmodel
 from solweights.fields import field_tower
-from solweights.groups import FiniteGroup, MatrixAction, center, conjugacy_classes
+from solweights.groups import FiniteGroup, MatrixAction, center, conjugacy_classes, normalizer
 from solweights.solmodel import _q8_subgroups, build_sol_model
+from solweights.zoo import sl2_group
 
 from conftest import failing
 
@@ -52,6 +54,35 @@ def test_frame_relations(sol0, sol1):
             xp = mat.mul(xp, model.x)
         assert xp == mat.identity
         assert mat.mul(model.c, model.c) == mat.inv(model.x)
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_sl2_normalizer_gens_match_sl2_side_reference(level):
+    # reference: the Q8 built from scratch over F_q inside SL_2(q) and its
+    # normalizer by scan
+    fq, _, omega = field_tower(level)
+    sl2 = sl2_group(level)
+    mat = sl2.action
+    x = (omega, 0, 0, fq.inv(omega))
+    y = (0, fq.neg(1), 1, 0)
+    x_q = sl2.power(x, 2 ** level)
+    Q = FiniteGroup.generate(mat, [x_q, y], cap=16)
+    N = normalizer(sl2, Q)
+    assert build_sol_model(level).sl2_normalizer_gens == list(N.generators)
+
+
+def test_model_and_reports_are_memoized(sol0, sol1, torus_report_l0, torus_report_l1,
+                                        sectional_report, radicals_report_l0,
+                                        spotcheck_report_l1, quaternion_reports):
+    assert build_sol_model(0) is sol0
+    assert build_sol_model(1) is sol1
+    assert solmodel.verify_torus_sequence(0) is torus_report_l0
+    assert solmodel.verify_torus_sequence(1) is torus_report_l1
+    assert solmodel.sectional_rank_certificate() is sectional_report
+    assert solmodel.verify_k_radicals_l0() is radicals_report_l0
+    assert solmodel.spotcheck_l1() is spotcheck_report_l1
+    for level, report in quaternion_reports.items():
+        assert solmodel.verify_quaternion_lemma(level) is report
 
 
 def test_d_is_involution_commuting_with_tau(sol0):

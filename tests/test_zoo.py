@@ -1,8 +1,8 @@
 import pytest
 
 from solweights.errors import UnknownSpec
-from solweights.groups import conjugacy_classes, fingerprint, isomorphic
-from solweights.zoo import named_group, sl2_with_quaternion_frame, wreath_product
+from solweights.groups import FiniteGroup, conjugacy_classes, fingerprint, isomorphic
+from solweights.zoo import named_group, quaternion_frame, sl2_group, wreath_product
 
 
 def gl_order(n):
@@ -84,7 +84,7 @@ def test_m324_structure():
 
 def test_quaternion_frame_relations():
     for level in (0, 1, 2):
-        act, x, y, R, c = sl2_with_quaternion_frame(level)
+        act, x, y, c, R, q8 = quaternion_frame(level)
         n = 2 ** (level + 2)
         xp = x
         for _ in range(n - 1):
@@ -94,6 +94,24 @@ def test_quaternion_frame_relations():
         assert act.mul(act.mul(act.inv(y), x), y) == act.inv(x)
         assert act.mul(c, c) == act.inv(x)
         assert R.order == 2 ** (level + 3)
+        assert q8.order == 8
+        assert q8.generators == (R.power(x, 2 ** level), y)
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_quaternion_frame_q8_inside_sl2(level):
+    # subfield encodings embed unchanged, so the frame's Q8 over F_{q^2} is
+    # also the Q8 of SL_2(q), element for element
+    q8 = quaternion_frame(level).q8
+    sl2 = sl2_group(level)
+    closed = FiniteGroup.generate(sl2.action, q8.generators, cap=9)
+    assert closed.elements == q8.elements
+    assert q8.is_subgroup_of(sl2)
+
+
+def test_quaternion_frame_q8_at_level_zero():
+    assert quaternion_frame(0).q8.generators == ((2, 0, 0, 3), (0, 4, 1, 0))
+    assert quaternion_frame(0) is quaternion_frame(0)
 
 
 def test_unknown_specs():
