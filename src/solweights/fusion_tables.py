@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .errors import UnknownSpec, ValidationFailure
-from .groups import FiniteGroup
+from .groups import FiniteGroup, cached_per_cap
 from .robinson import defect_zero_block_count
 from .zoo import named_group
 
@@ -250,7 +250,7 @@ def load_hasse(tag: str) -> HasseDiagram:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
+@cached_per_cap
 def _z_for_spec(spec: str) -> int:
     return defect_zero_block_count(named_group(spec))[0]
 

@@ -25,6 +25,7 @@ pure function of its inputs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -41,6 +42,21 @@ from .fields import FiniteField
 DEFAULT_CAP = 5_000_000  # bounds every closure and orbit; the CLI lowers it with --cap
 
 Element = tuple
+
+
+def cached_per_cap(fn: Callable) -> Callable:
+    """Memoize fn on (DEFAULT_CAP, *args), so a result built under one cap
+    is never served under a lower one."""
+    memo: dict = {}
+
+    @functools.wraps(fn)
+    def cached(*args):
+        key = (DEFAULT_CAP, *args)
+        if key not in memo:
+            memo[key] = fn(*args)
+        return memo[key]
+
+    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -589,26 +605,34 @@ def double_cosets(G: FiniteGroup, S: FiniteGroup) -> Iterator[tuple[Element, lis
     """Partition of G into S-S double cosets, one coset at a time.
 
     Each coset comes as its representative, the first element in enumeration
-    order, and the indices of its members.  G is walked once, with visited
-    elements marked in a bitmap.
+    order, and the indices of its members.  The right cosets S g are labelled
+    first, in one walk over G (|G| products in all); S x S is then the union
+    of the right cosets S (x s), s in S, at |S| products per double coset.
+    Members therefore come grouped by right coset, not in enumeration order.
     """
     if not S.is_subgroup_of(G):
         raise SubgroupNotContained("S is not a subgroup of G")
     mul = G.action.mul
     index = G.index
-    visited = bytearray(G.order)
     s_elements = S.elements
+    label = [-1] * G.order
+    right_cosets: list[list[int]] = []
+    for i, g in enumerate(G.elements):
+        if label[i] < 0:
+            coset = [index[mul(s, g)] for s in s_elements]
+            for j in coset:
+                label[j] = len(right_cosets)
+            right_cosets.append(coset)
+    taken = bytearray(len(right_cosets))
     for i, x in enumerate(G.elements):
-        if visited[i]:
+        if taken[label[i]]:
             continue
-        right = [mul(x, s) for s in s_elements]
         members = []
-        for s1 in s_elements:
-            for xs in right:
-                j = index[mul(s1, xs)]
-                if not visited[j]:
-                    visited[j] = 1
-                    members.append(j)
+        for s in s_elements:
+            k = label[index[mul(x, s)]]
+            if not taken[k]:
+                taken[k] = 1
+                members += right_cosets[k]
         yield x, members
 
 

@@ -9,7 +9,7 @@ S intersects S trivially; the (i, j) entry is |y_i^G meet x_j S| mod 2.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import CapExceeded
 from .groups import (
@@ -76,63 +76,81 @@ def defect_zero_classes(G: FiniteGroup) -> list[ConjClass]:
 
 
 def robinson_matrix(G: FiniteGroup, sylow: FiniteGroup | None = None,
-                    rng: random.Random | None = None,
                     threads: int = 1) -> RobinsonData:
     """Assemble the defect-zero data and the GF(2) matrix N.
 
     The double cosets come one at a time from ``groups.double_cosets``.
     Kept cosets contain a defect-zero element and satisfy the trivial
-    intersection condition (constant on each coset).  f(D) defaults to the
-    first defect-zero element of D in enumeration order; passing an rng picks
-    it uniformly instead.
+    intersection condition (constant on each coset).  f(D) is the first
+    defect-zero element of D in enumeration order; :func:`repick` draws it
+    at random instead, on the same cosets.
     """
     S = sylow if sylow is not None else sylow_subgroup(G, 2)
-    all_classes = conjugacy_classes(G)
     class_table = class_index_table(G)
-    dz_classes = [c for c in all_classes if c.centralizer_order % 2 == 1]
-    dz_class_ids = {ci: row for row, ci in enumerate(
-        ci for ci, c in enumerate(all_classes) if c.centralizer_order % 2 == 1)}
-    mul = G.action.mul
-    s_elements = S.elements
+    dz_rows = _defect_zero_rows(G)
 
     coset_reps: list[tuple] = []
     coset_dz: list[list[tuple]] = []
     y0_size = 0
     for x, members in double_cosets(G, S):
-        dz_members = sorted(j for j in members if class_table[j] in dz_class_ids)
+        dz_members = sorted(j for j in members if class_table[j] in dz_rows)
         y0_size += len(dz_members)
         # trivial intersection is constant on the double coset
         if dz_members and trivial_intersection(G, S, x):
             coset_reps.append(x)
             coset_dz.append([G.elements[j] for j in dz_members])
 
-    if rng is None:
-        x_reps = [members[0] for members in coset_dz]
-    else:
-        x_reps = [rng.choice(members) for members in coset_dz]
+    x_reps = [members[0] for members in coset_dz]
+    raw, rows = _counts(G, S, x_reps, threads)
+    return RobinsonData(
+        group=G, sylow=S, classes=defect_zero_classes(G), y0_size=y0_size,
+        coset_reps=coset_reps, coset_defect_zero=coset_dz,
+        x_reps=x_reps, raw_counts=raw, matrix_rows=rows,
+    )
+
+
+def repick(base: RobinsonData, rng: random.Random) -> RobinsonData:
+    """``base`` with f(D) drawn uniformly from each kept coset, in coset order.
+
+    The coset partition, Y and Y_0 are reused; only X, the raw counts and N
+    are rebuilt.
+    """
+    x_reps = [rng.choice(members) for members in base.coset_defect_zero]
+    raw, rows = _counts(base.group, base.sylow, x_reps, 1)
+    return replace(base, x_reps=x_reps, raw_counts=raw, matrix_rows=rows)
+
+
+def _defect_zero_rows(G: FiniteGroup) -> dict[int, int]:
+    """Class index -> row of N, for the defect-zero classes in class order."""
+    return {ci: row for row, ci in enumerate(
+        ci for ci, c in enumerate(conjugacy_classes(G)) if c.centralizer_order % 2 == 1)}
+
+
+def _counts(G: FiniteGroup, S: FiniteGroup, x_reps: list[tuple],
+            threads: int) -> tuple[list[list[int]], list[int]]:
+    """The counts |y_i^G meet x_j S| and the rows of N, bit-packed over GF(2)."""
+    class_table = class_index_table(G)
+    dz_rows = _defect_zero_rows(G)
+    mul = G.action.mul
 
     def column(xj: tuple) -> list[int]:
-        counts = [0] * len(dz_classes)
-        for s in s_elements:
-            row = dz_class_ids.get(class_table[G.index[mul(xj, s)]])
+        counts = [0] * len(dz_rows)
+        for s in S.elements:
+            row = dz_rows.get(class_table[G.index[mul(xj, s)]])
             if row is not None:
                 counts[row] += 1
         return counts
 
     columns = parallel_map(column, x_reps, threads)
-    raw = [[columns[j][i] for j in range(len(x_reps))] for i in range(len(dz_classes))]
+    raw = [[col[i] for col in columns] for i in range(len(dz_rows))]
     rows = []
-    for i in range(len(dz_classes)):
+    for counts in raw:
         bits = 0
-        for j in range(len(x_reps)):
-            if raw[i][j] & 1:
+        for j, n in enumerate(counts):
+            if n & 1:
                 bits |= 1 << j
         rows.append(bits)
-    return RobinsonData(
-        group=G, sylow=S, classes=dz_classes, y0_size=y0_size,
-        coset_reps=coset_reps, coset_defect_zero=coset_dz,
-        x_reps=x_reps, raw_counts=raw, matrix_rows=rows,
-    )
+    return raw, rows
 
 
 def defect_zero_block_count(G: FiniteGroup, threads: int = 1) -> tuple[int, int]:
@@ -213,7 +231,8 @@ def choice_invariance(G: FiniteGroup, runs: int = 20, seed: int = 0,
     Three kinds of variation: re-picking the defect-zero representative
     f(D) in each kept double coset, replacing S by a random conjugate, and
     permuting the generator list (which changes the enumeration order and
-    everything downstream).  The rank must never move.
+    everything downstream).  The rank must never move.  The f(D) re-picks
+    share the base run's coset partition; the other two recompute it.
     """
     rng = random.Random(seed)
     base = robinson_matrix(G)
@@ -227,7 +246,7 @@ def choice_invariance(G: FiniteGroup, runs: int = 20, seed: int = 0,
     schedule += ["fpick"] * n_fpick + ["sylow"] * n_sylow + ["gens"] * n_gens
     for kind in schedule:
         if kind == "fpick":
-            data = robinson_matrix(G, sylow=base.sylow, rng=rng)
+            data = repick(base, rng)
             report.ranks.append(data.gram_rank())
         elif kind == "sylow":
             g = rng.choice(G.elements)

@@ -21,7 +21,6 @@ so the CLI can emit them directly.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 
@@ -31,6 +30,7 @@ from .groups import (
     MatrixAction,
     _orbit,
     abelian_invariants,
+    cached_per_cap,
     center,
     centralizer_of_subgroup,
     class_index_table,
@@ -85,7 +85,7 @@ def _diag(action: CentralTripleAction, m: tuple) -> tuple:
     return action.make(m, m, m)
 
 
-@functools.cache
+@cached_per_cap
 def build_sol_model(level: int) -> SolModel:
     """Build the marked model at level l in {0, 1}; results are memoized."""
     if level not in (0, 1):
@@ -102,9 +102,9 @@ def build_sol_model(level: int) -> SolModel:
     d = action.mul(_diag(action, y), cdiag)
 
     r_i = [FiniteGroup.generate(action, [_embed(action, x, i), _embed(action, y, i)],
-                                cap=2 ** (level + 4)) for i in range(3)]
+                                cap=2 ** (level + 4), name=f"R{i + 1}") for i in range(3)]
     r0_gens = [g for R in r_i for g in R.generators]
-    r0 = FiniteGroup.generate(action, r0_gens, cap=2 ** (3 * level + 9))
+    r0 = FiniteGroup.generate(action, r0_gens, cap=2 ** (3 * level + 9), name="R0")
     sylow = FiniteGroup.generate(action, r0_gens + [d, tau],
                                  cap=2 ** (3 * level + 11), name=f"S(l={level})")
 
@@ -114,7 +114,7 @@ def build_sol_model(level: int) -> SolModel:
 
     minus = mat.mul(y, y)  # -identity
     z = action.make(minus, minus, mat.identity)
-    z_group = FiniteGroup.generate(action, [z], cap=3)
+    z_group = FiniteGroup.generate(action, [z], cap=3, name="<z>")
     u_group = FiniteGroup.generate(
         action, [z, action.make(minus, mat.identity, mat.identity)], cap=5, name="U")
 
@@ -124,7 +124,7 @@ def build_sol_model(level: int) -> SolModel:
                                    cap=33, name="A")
 
     q_i = [FiniteGroup.generate(action, [_embed(action, x_q, i), _embed(action, y, i)],
-                                cap=9) for i in range(3)]
+                                cap=9, name=f"Q{i + 1}") for i in range(3)]
 
     # generators of K: the three SL_2(q) factors (subfield encodings embed
     # unchanged), the diagonal, and the permutation part
@@ -177,7 +177,7 @@ def _q8_subgroups(R: FiniteGroup) -> set[tuple]:
     return quats
 
 
-@functools.cache
+@cached_per_cap
 def verify_quaternion_lemma(level: int) -> dict:
     """Exhaustive check of the quaternion frame structure at 1 <= l <= 3."""
     if not 1 <= level <= 3:
@@ -282,7 +282,7 @@ def verify_quaternion_lemma(level: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
+@cached_per_cap
 def verify_torus_sequence(level: int) -> dict:
     """Torus structure, the quotient type of S/T, the rank sequence, and the
     uniqueness searches (exhaustive at l = 0, skipped with a flag at l = 1)."""
@@ -412,7 +412,7 @@ def _count_c4_cubed(S: FiniteGroup, model: SolModel) -> int:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
+@cached_per_cap
 def sectional_rank_certificate() -> dict:
     """Pin s(S) = 6 at l = 0: a rank-6 elementary abelian section from the
     Frattini quotient of R0, and the bound s(T) + s(S/T) = 3 + 3 from an
@@ -485,7 +485,7 @@ def _sectional_rank_exhaustive(G: FiniteGroup) -> int:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
+@cached_per_cap
 def verify_k_radicals_l0() -> dict:
     """The five K-classes at l = 0 with their outer automorphism groups.
 
@@ -565,7 +565,7 @@ def verify_k_radicals_l0() -> dict:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
+@cached_per_cap
 def spotcheck_l1() -> dict:
     """Selected l = 1 verifications.
 

@@ -14,13 +14,12 @@ Spec grammar understood by :func:`named_group`:
 
 from __future__ import annotations
 
-import functools
 import re
 from typing import NamedTuple
 
 from .errors import UnknownSpec
 from .fields import field_tower, tower_field
-from .groups import FiniteGroup, MatrixAction, PermAction
+from .groups import FiniteGroup, MatrixAction, PermAction, cached_per_cap
 
 # ---------------------------------------------------------------------------
 # basic permutation group families
@@ -234,7 +233,7 @@ def sl2_gens(level: int) -> tuple[MatrixAction, list[tuple]]:
     return act, gens
 
 
-@functools.lru_cache(maxsize=None)
+@cached_per_cap
 def sl2_group(level: int) -> FiniteGroup:
     """SL_2(q) for q = 5^(2^level) as a matrix group, order q(q-1)(q+1)."""
     act, gens = sl2_gens(level)
@@ -257,7 +256,7 @@ class QuaternionFrame(NamedTuple):
     q8: FiniteGroup        # <x^(2^level), y>
 
 
-@functools.cache
+@cached_per_cap
 def quaternion_frame(level: int) -> QuaternionFrame:
     """The standard quaternion frame inside SL_2(q), q = 5^(2^level), 0 <= level <= 3.
 
@@ -313,7 +312,7 @@ def _split_args(body: str) -> list[str]:
     return [p.strip() for p in parts]
 
 
-@functools.lru_cache(maxsize=None)
+@cached_per_cap
 def named_group(spec: str) -> FiniteGroup:
     """Resolve a group spec string; results are cached per spec."""
     s = spec.strip()

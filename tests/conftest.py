@@ -2,9 +2,10 @@
 
 The heavy verifications (the 2-local model builds and their reports) are
 computed once per session and shared between the module tests and the
-acceptance suite; the model and report functions are memoized with
-``functools.cache``, so these fixtures are thin wrappers around the first
-call, whose report carries its wall time in ``elapsed_s``.
+acceptance suite; the model and report functions are memoized per
+enumeration cap (``groups.cached_per_cap``), so these fixtures are thin
+wrappers around the first call, whose report carries its wall time in
+``elapsed_s``.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -133,3 +134,18 @@ def test_cap_bounds_literal_caps_exit_three():
         capture_output=True, text=True, timeout=120, cwd=SRC)
     assert proc.returncode == 3
     assert "closure exceeded cap 1000" in proc.stderr
+
+
+def test_cap_names_the_l1_closure_that_overran():
+    proc = subprocess.run(
+        [sys.executable, "-m", "solweights", "verify", "sol", "--l", "1"],
+        capture_output=True, text=True, timeout=120, cwd=SRC,
+        env={**os.environ, "SOLWEIGHTS_CAP": "1000"})
+    assert proc.returncode == 3
+    assert "closure exceeded cap 1000 while generating R0" in proc.stderr
+
+
+def test_lower_cap_reaches_memoized_reports(capsys):
+    # the uncapped report is memoized; a later capped call must not reuse it
+    assert main(["verify", "quaternion", "--l", "1"]) == 0
+    assert main(["--cap", "4", "verify", "quaternion", "--l", "1"]) == 3

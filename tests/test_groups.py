@@ -367,6 +367,54 @@ def test_double_cosets_partition():
     assert sum(len(members) for _, members in dcs) == G.order
 
 
+def double_cosets_reference(G, S):
+    """The |S|^2 walk: every s1 x s2 of each new representative x, in order."""
+    visited = [False] * G.order
+    for i, x in enumerate(G.elements):
+        if visited[i]:
+            continue
+        members = []
+        for s1 in S.elements:
+            for s2 in S.elements:
+                j = G.index[G.mul(s1, G.mul(x, s2))]
+                if not visited[j]:
+                    visited[j] = True
+                    members.append(j)
+        yield x, members
+
+
+@pytest.mark.parametrize("spec", ["GL(3,2)", "S6", "wr(S3,S3)", "A7"])
+@pytest.mark.parametrize("kind", ["sylow", "conjugate", "trivial"])
+def test_double_cosets_match_reference_walk(spec, kind):
+    G = named_group(spec)
+    S = sylow_subgroup(G, 2)
+    if kind == "conjugate":
+        g = random.Random(23).choice(G.elements)
+        S = FiniteGroup.from_elements(G.action, [G.conj(s, g) for s in S.elements])
+    elif kind == "trivial":
+        S = G.subgroup([])
+    got = list(double_cosets(G, S))
+    want = list(double_cosets_reference(G, S))
+    assert [x for x, _ in got] == [x for x, _ in want]
+    assert [sorted(m) for _, m in got] == [sorted(m) for _, m in want]
+
+
+def test_double_cosets_product_count(monkeypatch):
+    # |G| products to label the right cosets, then |S| per double coset
+    G = named_group("GL(4,2)")
+    S = sylow_subgroup(G, 2)
+    calls = [0]
+    mul = PermAction.mul
+
+    def counted(self, a, b):
+        calls[0] += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(PermAction, "mul", counted)
+    n_cosets = sum(1 for _ in double_cosets(G, S))
+    assert calls[0] <= G.order + S.order * n_cosets
+
+
 def test_trivial_intersection_constant_on_cosets():
     rng = random.Random(19)
     G = symmetric_group(5)

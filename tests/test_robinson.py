@@ -1,12 +1,15 @@
+import random
+
 import pytest
 
-from solweights.groups import FiniteGroup, PermAction, sylow_subgroup
+from solweights.groups import FiniteGroup, PermAction, class_index_table, sylow_subgroup
 from solweights.robinson import (
     choice_invariance,
     cycle_type,
     defect_zero_block_count,
     defect_zero_classes,
     defect_zero_lower_bound,
+    repick,
     robinson_matrix,
     two_complement_shortcut,
 )
@@ -135,3 +138,27 @@ def test_threads_do_not_change_result():
     b = robinson_matrix(G, threads=3)
     assert a.matrix_rows == b.matrix_rows
     assert a.raw_counts == b.raw_counts
+
+
+@pytest.mark.parametrize("spec", ["S6", "wr(S3,S3)"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_repick_matches_full_recompute(spec, seed):
+    # reference: a fresh coset partition, f(D) drawn in coset order, and the
+    # counts |y_i^G meet x_j S| taken element by element
+    G = named_group(spec)
+    base = robinson_matrix(G)
+    fresh = robinson_matrix(G, sylow=base.sylow)
+    rng = random.Random(seed)
+    x_reps = [rng.choice(members) for members in fresh.coset_defect_zero]
+    table = class_index_table(G)
+    dz_ids = [table[G.index[c.rep]] for c in defect_zero_classes(G)]
+    raw = [[sum(1 for s in base.sylow.elements if table[G.index[G.mul(x, s)]] == ci)
+            for x in x_reps] for ci in dz_ids]
+    rows = [sum(1 << j for j, n in enumerate(counts) if n % 2) for counts in raw]
+
+    got = repick(base, random.Random(seed))
+    assert got.x_reps == x_reps
+    assert got.raw_counts == raw
+    assert got.matrix_rows == rows
+    assert got.coset_defect_zero is base.coset_defect_zero
+    assert base.x_reps == [members[0] for members in base.coset_defect_zero]
