@@ -181,8 +181,10 @@ class CentralTripleAction:
         f = self.field
         neg = f.neg_table.__getitem__ if f._tables_ready else f.neg
         # the two representatives first differ at the first nonzero entry v,
-        # where one holds v and the other -v
-        v = next(filter(None, m1 + m2 + m3), 0)
+        # where one holds v and the other -v; a group element's m1 is
+        # invertible, so v is in its first row, and only other inputs reach
+        # the full search
+        v = m1[0] or m1[1] or next(filter(None, m1 + m2 + m3), 0)
         if neg(v) < v:
             return (tuple(map(neg, m1)), tuple(map(neg, m2)), tuple(map(neg, m3)), pi)
         return (m1, m2, m3, pi)
@@ -472,9 +474,33 @@ def class_index_table(G: FiniteGroup) -> list[int]:
     return G._class_table
 
 
-def _scan(G: FiniteGroup, keep: Callable[[Element], bool]) -> FiniteGroup:
-    """The subgroup of the elements h of G with keep(h), by scan of G."""
-    return FiniteGroup.from_elements(G.action, filter(keep, G.elements))
+def _scan(G: FiniteGroup, keep: Callable[[Element], bool],
+          H: FiniteGroup | None = None) -> FiniteGroup:
+    """The subgroup of the elements h of G with keep(h), by a walk over G.
+
+    H is a subgroup of G already known to lie in the answer (None for the
+    trivial group), so keep is constant on each right coset H g.  The walk
+    goes over G in enumeration order; each element not yet seen labels its
+    coset H g (|H| products, |G| in all), is tested once, and on a pass the
+    whole coset is kept.  That is [G:H] tests instead of |G|.  Kept cosets
+    hold G's own element objects, not the fresh products, so they add no
+    tuples.  The result goes through from_elements, so it depends only on
+    the element set.
+    """
+    if H is None or H.order == 1:
+        return FiniteGroup.from_elements(G.action, filter(keep, G.elements))
+    elements, index, mul = G.elements, G.index, G.action.mul
+    seen = bytearray(G.order)
+    kept: list[Element] = []
+    for i, g in enumerate(elements):
+        if seen[i]:
+            continue
+        coset = [index[mul(h, g)] for h in H.elements]
+        for j in coset:
+            seen[j] = 1
+        if keep(g):
+            kept.extend(map(elements.__getitem__, coset))
+    return FiniteGroup.from_elements(G.action, kept)
 
 
 def _commutes_with(G: FiniteGroup, xs: Sequence[Element]) -> Callable[[Element], bool]:
@@ -504,12 +530,17 @@ def centralizer(G: FiniteGroup, g: Element) -> FiniteGroup:
 
 
 def centralizer_of_subgroup(G: FiniteGroup, P: FiniteGroup) -> FiniteGroup:
-    return _scan(G, _commutes_with(G, P.generators))
+    """C_G(P); when P <= G the walk keeps whole right cosets of Z(P)."""
+    return _scan(G, _commutes_with(G, P.generators), center(P) if P.is_subgroup_of(G) else None)
 
 
 def normalizer(G: FiniteGroup, P: FiniteGroup) -> FiniteGroup:
-    """N_G(P) by direct scan of G (P need not be a subgroup of G)."""
-    return _scan(G, lambda h: _normalizes(G, h, P))
+    """N_G(P) by a walk over G (P need not be a subgroup of G).
+
+    When P <= G, P lies in N_G(P), so one test per right coset P g decides
+    the whole coset: [G:P] tests.  Otherwise every element is tested.
+    """
+    return _scan(G, lambda h: _normalizes(G, h, P), P if P.is_subgroup_of(G) else None)
 
 
 def center(G: FiniteGroup) -> FiniteGroup:

@@ -16,6 +16,7 @@ from solweights.groups import (
     abelianization,
     center,
     centralizer,
+    centralizer_of_subgroup,
     class_index_table,
     conjugacy_classes,
     derived_subgroup,
@@ -166,6 +167,24 @@ def test_triple_arithmetic_slow_field():
     check_arithmetic(act, elements, ref_triple_mul, ref_triple_inv, rng, 200)
 
 
+@pytest.mark.parametrize("level", [1, 2, 4])
+def test_canonical_singular_first_factor(level):
+    # sparse m1 is often singular, and every other draw has a zero first
+    # row, so the sign entry lies past it; the rule must match the reference
+    act = CentralTripleAction(tower_field(level))
+    f = act.field
+    rng = random.Random(600 + level)
+    sparse = lambda: tuple(rng.choice((0, rng.randrange(f.size))) for _ in range(4))
+    for k in range(400):
+        ms = [sparse(), sparse(), sparse()]
+        if k % 2:
+            ms[0] = (0, 0) + ms[0][2:]
+        pi = tuple(rng.sample(range(3), 3))
+        assert act.canonical(*ms, pi) == ref_canonical(f, ms, pi)
+    zero = (0, 0, 0, 0)
+    assert act.canonical(zero, zero, zero, (0, 1, 2)) == (zero, zero, zero, (0, 1, 2))
+
+
 # -- closure and enumeration --------------------------------------------------
 
 
@@ -300,6 +319,64 @@ def test_centralizer_three_three_is_odd():
     c = centralizer(G, g)
     assert c.order == 9
     assert c.order % 2 == 1
+
+
+def scan_reference(G, keep):
+    """The per-element scan: test every element of G."""
+    return FiniteGroup.from_elements(G.action, filter(keep, G.elements))
+
+
+def normalizer_reference(G, P):
+    return scan_reference(G, lambda h: groups._normalizes(G, h, P))
+
+
+def centralizer_reference(G, P):
+    return scan_reference(G, lambda h: all(G.mul(h, x) == G.mul(x, h) for x in P.generators))
+
+
+V4_IN_A7 = [(1, 0, 3, 2, 4, 5, 6), (2, 3, 0, 1, 4, 5, 6)]
+
+
+def sylow_case(spec, p):
+    return lambda: (named_group(spec), sylow_subgroup(named_group(spec), p))
+
+
+def subgroup_case(spec, gens):
+    return lambda: (named_group(spec), named_group(spec).subgroup(gens))
+
+
+SCAN_CASES = {
+    "S6-sylow3": sylow_case("S6", 3),
+    "wr(S3,S3)-sylow3": sylow_case("wr(S3,S3)", 3),
+    "GL(4,2)-order9": sylow_case("GL(4,2)", 3),
+    "GL(4,2)-order5": sylow_case("GL(4,2)", 5),
+    "GL(4,2)-order7": sylow_case("GL(4,2)", 7),
+    "A7-V4": subgroup_case("A7", V4_IN_A7),
+    "SL2(5)-Q8": subgroup_case("SL2(5)", [(2, 0, 0, 3), (0, 4, 1, 0)]),
+    # a Sylow 2-subgroup of S7 is not contained in A7: every element is tested
+    "A7-S7sylow2": lambda: (named_group("A7"), sylow_subgroup(symmetric_group(7), 2)),
+}
+
+
+@pytest.mark.parametrize("case", SCAN_CASES)
+def test_coset_walk_matches_per_element_scan(case):
+    G, P = SCAN_CASES[case]()
+    assert (case == "A7-S7sylow2") != P.is_subgroup_of(G)
+    for got, want in [(normalizer(G, P), normalizer_reference(G, P)),
+                      (centralizer_of_subgroup(G, P), centralizer_reference(G, P))]:
+        assert got.generators == want.generators
+        assert got.elements == want.elements
+
+
+@pytest.mark.parametrize("spec,p", [("S6", 3), ("GL(4,2)", 7)])
+def test_normalizer_one_test_per_right_coset(monkeypatch, spec, p):
+    G = named_group(spec)
+    P = sylow_subgroup(G, p)
+    calls = []
+    real = groups._normalizes
+    monkeypatch.setattr(groups, "_normalizes", lambda *args: calls.append(1) or real(*args))
+    normalizer(G, P)
+    assert len(calls) == G.order // P.order
 
 
 # -- subgroup orbits ------------------------------------------------------------
