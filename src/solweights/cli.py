@@ -3,8 +3,9 @@
 Every verification and computation is a subcommand emitting a run report;
 the process exits 0 exactly when all checks in the report pass, 1 on a
 failed check, 2 on usage errors, and 3 when an enumeration cap is exceeded.
-Reports are deterministic for fixed inputs regardless of --threads (only
-the timing field varies).
+Each ``cmd_*`` returns (command, inputs, results, checks); ``main`` times
+the call and emits the report, whose only varying field is ``timing``.
+``hasse`` writes plain text instead and returns None.
 """
 
 from __future__ import annotations
@@ -20,17 +21,6 @@ from .errors import CapExceeded, SolweightsError, UnknownSpec
 from .util import check
 
 ENV_CAP = "SOLWEIGHTS_CAP"
-
-
-def _report(command: str, inputs: dict, results: dict, checks: list[dict],
-            elapsed: float) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "checks": checks,
-        "timing": {"elapsed_s": round(elapsed, 3)},
-    }
 
 
 def _emit(report: dict, as_json: bool) -> int:
@@ -55,67 +45,48 @@ DEF0_TABLE = [
 ]
 
 
-def cmd_defect_zero(args) -> int:
+def cmd_defect_zero(args):
     from .robinson import robinson_matrix
     from .zoo import named_group
 
-    t0 = time.monotonic()
-    G = named_group(args.group)
-    data = robinson_matrix(G, threads=args.threads)
-    results = data.to_json(name=args.group)
-    report = _report("defect-zero", {"group": args.group}, results, [],
-                     time.monotonic() - t0)
-    return _emit(report, args.json)
+    results = robinson_matrix(named_group(args.group)).to_json(name=args.group)
+    return "defect-zero", {"group": args.group}, results, []
 
 
-def cmd_table_def0(args) -> int:
+def cmd_table_def0(args):
     from .robinson import defect_zero_block_count
     from .zoo import named_group
 
-    t0 = time.monotonic()
-    checks = []
-    for spec, expected in DEF0_TABLE:
-        count, _ = defect_zero_block_count(named_group(spec), threads=args.threads)
-        checks.append(check(f"z({spec})", expected, count))
+    checks = [check(f"z({spec})", expected, defect_zero_block_count(named_group(spec))[0])
+              for spec, expected in DEF0_TABLE]
     matched = sum(1 for c in checks if c["pass"])
-    report = _report("table-def0", {}, {"matched": f"{matched}/{len(checks)}"},
-                     checks, time.monotonic() - t0)
-    return _emit(report, args.json)
+    return "table-def0", {}, {"matched": f"{matched}/{len(checks)}"}, checks
 
 
-def cmd_weights(args) -> int:
+def cmd_weights(args):
     from .fusion_tables import weight_count
 
-    t0 = time.monotonic()
     w = weight_count(args.system, args.l)
     checks = [check(f"w({args.system}, {args.l}) = 12", 12, w["total"])]
     if args.system == "F" and args.l == 0:
         expected = (1, 1, 4, 1, 1, 0, 1, 1, 1, 1)
         checks.append(check("per-row z-vector", list(expected),
                             [r["z"] for r in w["rows"]]))
-    report = _report("weights", {"system": args.system, "l": args.l},
-                     {"total": w["total"], "rows": w["rows"]},
-                     checks, time.monotonic() - t0)
-    return _emit(report, args.json)
+    return ("weights", {"system": args.system, "l": args.l},
+            {"total": w["total"], "rows": w["rows"]}, checks)
 
 
-def cmd_verify(args) -> int:
-    t0 = time.monotonic()
+def cmd_verify(args):
     if args.target == "quaternion":
         from .solmodel import verify_quaternion_lemma
 
         if not 1 <= args.l <= 3:
-            print("verify quaternion requires --l in 1..3", file=sys.stderr)
-            return 2
-        rep = verify_quaternion_lemma(args.l)
-        report = _report("verify-quaternion", {"l": args.l},
-                         {"checks_run": len(rep["checks"])}, rep["checks"],
-                         time.monotonic() - t0)
-        return _emit(report, args.json)
+            raise SolweightsError("verify quaternion requires --l in 1..3")
+        checks = verify_quaternion_lemma(args.l)["checks"]
+        return "verify-quaternion", {"l": args.l}, {"checks_run": len(checks)}, checks
     if args.target == "sol":
         if args.l not in (0, 1):
-            print("verify sol requires --l in {0, 1}", file=sys.stderr)
-            return 2
+            raise SolweightsError("verify sol requires --l in {0, 1}")
         from .solmodel import (
             sectional_rank_certificate,
             spotcheck_l1,
@@ -129,48 +100,43 @@ def cmd_verify(args) -> int:
             checks += verify_k_radicals_l0()["checks"]
         else:
             checks += spotcheck_l1()["checks"]
-        report = _report("verify-sol", {"l": args.l},
-                         {"checks_run": len(checks)}, checks,
-                         time.monotonic() - t0)
-        return _emit(report, args.json)
-    print(f"unknown verify target {args.target!r}", file=sys.stderr)
-    return 2
+        return "verify-sol", {"l": args.l}, {"checks_run": len(checks)}, checks
+    raise SolweightsError(f"unknown verify target {args.target!r}")
 
 
-def cmd_cohomology(args) -> int:
+def cmd_cohomology(args):
     from .cohomology import h2_dim, odd_h2_kx
     from .zoo import named_group
 
-    t0 = time.monotonic()
     G = named_group(args.group)
     if args.prime:
-        cert = h2_dim(G, args.prime, name=args.group)
-        results = cert.to_json()
+        results = h2_dim(G, args.prime, name=args.group).to_json()
     else:
         results = odd_h2_kx(G, name=args.group).to_json()
-    report = _report("cohomology", {"group": args.group, "prime": args.prime},
-                     results, [], time.monotonic() - t0)
-    return _emit(report, args.json)
+    return "cohomology", {"group": args.group, "prime": args.prime}, results, []
 
 
-def cmd_lim(args) -> int:
+def cmd_lim(args):
     from .poset_limits import verify_lim_A2
 
-    t0 = time.monotonic()
     rep = verify_lim_A2(args.l)
     checks = [check("lim = 0", 0, rep["lim_dim"]),
               check("criterion", "a" if args.l >= 1 else "b", rep["criterion"]),
               check("verify_lim_A2 verdict", True, rep["pass"])]
-    report = _report("lim", {"l": args.l}, rep, checks, time.monotonic() - t0)
-    return _emit(report, args.json)
+    return "lim", {"l": args.l}, rep, checks
 
 
-def cmd_hasse(args) -> int:
+def cmd_hasse(args) -> None:
     from .fusion_tables import hasse_export
 
-    text = hasse_export(args.l, args.format)
-    sys.stdout.write(text)
-    return 0
+    sys.stdout.write(hasse_export(args.l, args.format))
+
+
+def _level(text: str) -> int:
+    """The --l argument: a nonnegative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -179,8 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification suite for the 2-local weight computations",
     )
     parser.add_argument("--json", action="store_true", help="emit a JSON run report")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="parallel scans with deterministic merge")
     parser.add_argument("--cap", type=int, default=None,
                         help="override the enumeration cap")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -194,12 +158,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weights", help="weight count for a local system")
     p.add_argument("--system", choices=["H", "F"], required=True)
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--l", type=_level, required=True)
     p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("verify", help="structure verifications")
     p.add_argument("target", choices=["quaternion", "sol"])
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--l", type=_level, required=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("cohomology", help="degree-two cohomology certificate")
@@ -208,11 +172,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cohomology)
 
     p = sub.add_parser("lim", help="vanishing of the twist-functor limit")
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--l", type=_level, required=True)
     p.set_defaults(func=cmd_lim)
 
     p = sub.add_parser("hasse", help="export a centric radical class diagram")
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--l", type=_level, required=True)
     p.add_argument("--format", choices=["dot", "json"], default="dot")
     p.set_defaults(func=cmd_hasse)
     return parser
@@ -232,7 +196,14 @@ def main(argv: list[str] | None = None) -> int:
     if cap is not None:
         groups.DEFAULT_CAP = cap
     try:
-        return args.func(args)
+        t0 = time.monotonic()
+        out = args.func(args)
+        if out is None:
+            return 0
+        command, inputs, results, checks = out
+        return _emit({"command": command, "inputs": inputs, "results": results,
+                      "checks": checks,
+                      "timing": {"elapsed_s": round(time.monotonic() - t0, 3)}}, args.json)
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3

@@ -28,6 +28,8 @@ from dataclasses import dataclass, field
 from .errors import Inconclusive, UnsupportedSylow, WrongSylowShape
 from .groups import (
     FiniteGroup,
+    _greedy_generators,
+    _prime_factors,
     abelian_invariants,
     abelianization,
     normalizer,
@@ -103,20 +105,6 @@ def h1_dim(G: FiniteGroup, p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def elementary_basis(P: FiniteGroup) -> list[tuple]:
-    """Greedy basis of an elementary abelian group in enumeration order."""
-    basis: list[tuple] = []
-    span = {P.identity}
-    for e in P.elements:
-        if e in span:
-            continue
-        basis.append(e)
-        span = set(FiniteGroup.generate(P.action, basis, cap=P.order + 1).elements)
-        if len(span) == P.order:
-            break
-    return basis
-
-
 def _discrete_log_table(P: FiniteGroup, basis: list[tuple], p: int) -> dict[tuple, tuple]:
     """Map each element of P to its exponent vector over the basis."""
     table = {}
@@ -142,7 +130,7 @@ def action_matrices(G: FiniteGroup, P: FiniteGroup, p: int,
                     acting: list[tuple] | None = None) -> tuple[list, list[tuple]]:
     """Matrices over GF(p) of the conjugation action on the elementary
     abelian subgroup P, for generators of N_G(P) (or a supplied list)."""
-    basis = basis or elementary_basis(P)
+    basis = basis or _greedy_generators(P)
     logs = _discrete_log_table(P, basis, p)
     if acting is None:
         N = normalizer(G, P)
@@ -296,7 +284,7 @@ def h2_wreath_c3(G: FiniteGroup, name: str | None = None) -> H2Certificate:
     base = _wreath_base(G, W)
     if base is None:
         raise WrongSylowShape("no elementary abelian rank-3 base of index 3 found")
-    basis = base.marks.get("v_basis") or elementary_basis(base)
+    basis = base.marks.get("v_basis") or _greedy_generators(base)
     rho = next(e for e in W.elements if e not in base.index)
     # outer generator transversal: generators of G modulo W, as elements
     outer = [g for g in G.generators if g not in W.index]
@@ -463,22 +451,6 @@ def h2_dim(G: FiniteGroup, p: int, name: str | None = None) -> H2Certificate:
     raise UnsupportedSylow(f"no implemented path for {gname} at p = {p}")
 
 
-def _odd_primes(n: int) -> list[int]:
-    out = []
-    d = 3
-    while n % 2 == 0:
-        n //= 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def odd_h2_kx(G: FiniteGroup, name: str | None = None) -> KxCertificate:
     """The odd part of H^2(G, k^x) for k algebraically closed of
     characteristic 2, prime by prime.
@@ -491,7 +463,7 @@ def odd_h2_kx(G: FiniteGroup, name: str | None = None) -> KxCertificate:
     gname = name or G.name or "group"
     parts: dict[int, H2Certificate] = {}
     factors = []
-    for p in _odd_primes(G.order):
+    for p in (q for q in _prime_factors(G.order) if q != 2):
         cert = h2_dim(G, p, name=gname)
         if cert.dim:
             P = sylow_subgroup(G, p)

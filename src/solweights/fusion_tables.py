@@ -22,7 +22,7 @@ from importlib import resources
 from .errors import UnknownSpec, ValidationFailure
 from .groups import FiniteGroup, cached_per_cap
 from .robinson import defect_zero_block_count
-from .zoo import named_group
+from .zoo import named_group, split_top
 
 SYSTEMS = ("H", "K", "F")
 
@@ -98,37 +98,17 @@ def _parse_descriptor(desc: str) -> str:
         if balanced:
             return _parse_descriptor(d[1:-1])
     # split on top-level ' x '
-    parts = _split_top(d, " x ")
+    parts = split_top(d, " x ")
     if len(parts) > 1:
         specs = [_parse_descriptor(p) for p in parts]
         acc = specs[-1]
         for s in reversed(specs[:-1]):
             acc = f"x({s},{acc})"
         return acc
-    parts = _split_top(d, " wr ")
+    parts = split_top(d, " wr ")
     if len(parts) == 2:
         return f"wr({_parse_descriptor(parts[0])},{_parse_descriptor(parts[1])})"
     raise UnknownSpec(f"unrecognized table descriptor {desc!r}")
-
-
-def _split_top(s: str, sep: str) -> list[str]:
-    parts = []
-    depth = 0
-    start = 0
-    i = 0
-    while i < len(s):
-        if s[i] == "(":
-            depth += 1
-        elif s[i] == ")":
-            depth -= 1
-        elif depth == 0 and s.startswith(sep, i):
-            parts.append(s[start:i])
-            start = i + len(sep)
-            i += len(sep)
-            continue
-        i += 1
-    parts.append(s[start:])
-    return [p.strip() for p in parts]
 
 
 def resolve_out_descriptor(desc: str) -> FiniteGroup:

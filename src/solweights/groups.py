@@ -19,8 +19,12 @@ model fields at l = 0 and 1) and go through the field's methods otherwise.
 
 Groups cache their full element enumeration (breadth-first closure from the
 identity, deterministic in the generator order) and structural data derived
-from it.  Groups are immutable after construction; every operation here is a
-pure function of its inputs.
+from it.  A ``FiniteGroup`` is append-only: its elements, generators and
+marks are fixed at construction, and the derived data (``_classes``,
+``_class_table``, ``_center``, ``_derived``, ``_sylow``) is filled in lazily
+on first use and never changed after.  Every operation here is a function
+of its inputs alone, so a shared memoized group gives the same results
+whichever caller fills its caches first.
 """
 
 from __future__ import annotations
@@ -313,13 +317,7 @@ class FiniteGroup:
         """
         element_set = set(elements)
         cap = len(element_set) + 1
-        gens: list[Element] = []
-        closed = {action.identity}
-        for e in sorted(element_set):
-            if e in closed:
-                continue
-            gens.append(e)
-            _adjoin(action, closed, gens, cap)
+        gens, closed = _greedy(action, sorted(element_set), cap)
         if closed != element_set:
             raise ValueError("element set is not closed under the group operations")
         return cls.generate(action, gens, cap=cap, name=name, marks=marks)
@@ -390,25 +388,34 @@ class FiniteGroup:
         return result
 
 
-def _adjoin(action: Action, closed: set, gens: Sequence[Element], cap: int) -> None:
-    """One Dimino step: grow the element set of H = <gens[:-1]> to <gens>.
+def _greedy(action: Action, elements: Iterable[Element], cap: int) -> tuple[list[Element], set]:
+    """Greedy generators: each element not yet in the closure of the earlier
+    picks, in the given order.  Returns the picks and their closure.
 
-    <gens> is a union of right cosets H r.  The representatives r are walked
-    and, whenever r s lies outside the set for a generator s, the whole coset
-    H (r s) is new and is added at once.
+    Each pick grows the closure H = <picks so far> to <H, e> by one Dimino
+    step.  <H, e> is a union of right cosets H r; the representatives r are
+    walked and, whenever r s lies outside the set for a pick s, the whole
+    coset H (r s) is new and is added at once.
     """
     mul = action.mul
-    H = list(closed)
-    reps = [action.identity]
-    for r in reps:  # reps grows during the walk
-        for s in gens:
-            x = mul(r, s)
-            if x in closed:
-                continue
-            reps.append(x)
-            closed.update([mul(h, x) for h in H])
-            if len(closed) > cap:
-                raise CapExceeded(f"closure exceeded cap {cap}")
+    gens: list[Element] = []
+    closed = {action.identity}
+    for e in elements:
+        if e in closed:
+            continue
+        gens.append(e)
+        H = list(closed)
+        reps = [action.identity]
+        for r in reps:  # reps grows during the walk
+            for s in gens:
+                x = mul(r, s)
+                if x in closed:
+                    continue
+                reps.append(x)
+                closed.update([mul(h, x) for h in H])
+                if len(closed) > cap:
+                    raise CapExceeded(f"closure exceeded cap {cap}")
+    return gens, closed
 
 
 # ---------------------------------------------------------------------------
@@ -474,32 +481,43 @@ def class_index_table(G: FiniteGroup) -> list[int]:
     return G._class_table
 
 
+def right_cosets(G: FiniteGroup, H: FiniteGroup) -> tuple[list[int], list[list[int]]]:
+    """The right cosets H g of a subgroup H of G, by one walk over G.
+
+    Returns the coset number of each element index of G, and the element
+    indices of each coset.  Cosets are numbered by their first element in
+    enumeration order, and each coset's first index is that element.  Each
+    element not yet labelled labels its coset H g (|H| products, |G| in all).
+    """
+    index, mul = G.index, G.action.mul
+    label = [-1] * G.order
+    cosets: list[list[int]] = []
+    for i, g in enumerate(G.elements):
+        if label[i] < 0:
+            number = len(cosets)
+            coset = [index[mul(h, g)] for h in H.elements]
+            for j in coset:
+                label[j] = number
+            cosets.append(coset)
+    return label, cosets
+
+
 def _scan(G: FiniteGroup, keep: Callable[[Element], bool],
           H: FiniteGroup | None = None) -> FiniteGroup:
     """The subgroup of the elements h of G with keep(h), by a walk over G.
 
     H is a subgroup of G already known to lie in the answer (None for the
-    trivial group), so keep is constant on each right coset H g.  The walk
-    goes over G in enumeration order; each element not yet seen labels its
-    coset H g (|H| products, |G| in all), is tested once, and on a pass the
-    whole coset is kept.  That is [G:H] tests instead of |G|.  Kept cosets
-    hold G's own element objects, not the fresh products, so they add no
-    tuples.  The result goes through from_elements, so it depends only on
-    the element set.
+    trivial group), so keep is constant on each right coset H g: the first
+    element of each coset is tested, and on a pass the whole coset is kept.
+    That is [G:H] tests instead of |G|.  Kept cosets hold G's own element
+    objects, not the fresh products, so they add no tuples.  The result goes
+    through from_elements, so it depends only on the element set.
     """
     if H is None or H.order == 1:
         return FiniteGroup.from_elements(G.action, filter(keep, G.elements))
-    elements, index, mul = G.elements, G.index, G.action.mul
-    seen = bytearray(G.order)
-    kept: list[Element] = []
-    for i, g in enumerate(elements):
-        if seen[i]:
-            continue
-        coset = [index[mul(h, g)] for h in H.elements]
-        for j in coset:
-            seen[j] = 1
-        if keep(g):
-            kept.extend(map(elements.__getitem__, coset))
+    elements = G.elements
+    kept = [elements[j] for coset in right_cosets(G, H)[1]
+            if keep(elements[coset[0]]) for j in coset]
     return FiniteGroup.from_elements(G.action, kept)
 
 
@@ -637,33 +655,24 @@ def double_cosets(G: FiniteGroup, S: FiniteGroup) -> Iterator[tuple[Element, lis
 
     Each coset comes as its representative, the first element in enumeration
     order, and the indices of its members.  The right cosets S g are labelled
-    first, in one walk over G (|G| products in all); S x S is then the union
+    first by ``right_cosets`` (|G| products in all); S x S is then the union
     of the right cosets S (x s), s in S, at |S| products per double coset.
     Members therefore come grouped by right coset, not in enumeration order.
     """
     if not S.is_subgroup_of(G):
         raise SubgroupNotContained("S is not a subgroup of G")
-    mul = G.action.mul
-    index = G.index
-    s_elements = S.elements
-    label = [-1] * G.order
-    right_cosets: list[list[int]] = []
-    for i, g in enumerate(G.elements):
-        if label[i] < 0:
-            coset = [index[mul(s, g)] for s in s_elements]
-            for j in coset:
-                label[j] = len(right_cosets)
-            right_cosets.append(coset)
-    taken = bytearray(len(right_cosets))
+    mul, index = G.action.mul, G.index
+    label, cosets = right_cosets(G, S)
+    taken = bytearray(len(cosets))
     for i, x in enumerate(G.elements):
         if taken[label[i]]:
             continue
         members = []
-        for s in s_elements:
+        for s in S.elements:
             k = label[index[mul(x, s)]]
             if not taken[k]:
                 taken[k] = 1
-                members += right_cosets[k]
+                members += cosets[k]
         yield x, members
 
 
@@ -688,33 +697,24 @@ def trivial_intersection(G: FiniteGroup, S: FiniteGroup, x: Element) -> bool:
 def quotient_group(G: FiniteGroup, N: FiniteGroup) -> FiniteGroup:
     """G/N as a permutation group on the cosets of N.
 
-    Coset labels are canonical representatives: the first element of each
-    coset in G's enumeration order.  The label list is stored in
-    ``marks["coset_reps"]``.
+    Cosets are numbered as by ``right_cosets``, and each is represented by
+    its first element in G's enumeration order.  The representatives are
+    stored in ``marks["coset_reps"]`` and the coset number of each element
+    index of G in ``marks["coset_of"]``.
     """
     if not N.is_subgroup_of(G):
         raise SubgroupNotContained("N is not a subgroup of G")
     if not is_normal(G, N):
         raise NotNormal("N is not normal in G")
     mul = G.action.mul
-    coset_of = [-1] * G.order
-    reps: list[Element] = []
-    for i, e in enumerate(G.elements):
-        if coset_of[i] >= 0:
-            continue
-        cid = len(reps)
-        reps.append(e)
-        for n in N.elements:
-            coset_of[G.index[mul(n, e)]] = cid
+    coset_of, cosets = right_cosets(G, N)
+    reps = [G.elements[coset[0]] for coset in cosets]
     n_cosets = len(reps)
     if n_cosets * N.order != G.order:
         raise RuntimeError("coset decomposition inconsistent")
-    action = PermAction(n_cosets)
-    gen_perms = []
-    for g in G.generators:
-        gen_perms.append(tuple(coset_of[G.index[mul(r, g)]] for r in reps))
-    Q = FiniteGroup.generate(action, gen_perms, cap=n_cosets + 1,
-                             marks={"coset_reps": reps})
+    gen_perms = [tuple(coset_of[G.index[mul(r, g)]] for r in reps) for g in G.generators]
+    Q = FiniteGroup.generate(PermAction(n_cosets), gen_perms, cap=n_cosets + 1,
+                             marks={"coset_reps": reps, "coset_of": coset_of})
     if Q.order != n_cosets:
         raise RuntimeError("quotient order mismatch")
     return Q
@@ -853,16 +853,9 @@ def fingerprint(G: FiniteGroup) -> GroupFingerprint:
 
 
 def _greedy_generators(G: FiniteGroup) -> list[Element]:
-    gens: list[Element] = []
-    closed = {G.identity}
-    for e in G.elements:
-        if e in closed:
-            continue
-        gens.append(e)
-        _adjoin(G.action, closed, gens, G.order + 1)
-        if len(closed) == G.order:
-            break
-    return gens
+    """Greedy generators of G in enumeration order (a basis in that order
+    when G is elementary abelian)."""
+    return _greedy(G.action, G.elements, G.order + 1)[0]
 
 
 def _extend_iso(G: FiniteGroup, H: FiniteGroup, gens: list[Element],

@@ -275,7 +275,7 @@ def verify_lim_A2(l: int) -> dict:
     """
     from .cohomology import h2_dim, odd_h2_kx
     from .fusion_tables import load_hasse, load_tables, resolve_out_descriptor
-    from .groups import FiniteGroup, PermAction, normalizer, sylow_subgroup
+    from .groups import FiniteGroup, normalizer, sylow_subgroup
     from .zoo import named_group
 
     tables = load_tables()

@@ -15,6 +15,7 @@ from .errors import CapExceeded
 from .groups import (
     ConjClass,
     FiniteGroup,
+    _p_part,
     class_index_table,
     conjugacy_classes,
     double_cosets,
@@ -23,7 +24,6 @@ from .groups import (
     trivial_intersection,
 )
 from .linalg import gf2_rank, gram_gf2
-from .util import parallel_map
 
 
 @dataclass
@@ -75,8 +75,7 @@ def defect_zero_classes(G: FiniteGroup) -> list[ConjClass]:
     return [c for c in conjugacy_classes(G) if c.centralizer_order % 2 == 1]
 
 
-def robinson_matrix(G: FiniteGroup, sylow: FiniteGroup | None = None,
-                    threads: int = 1) -> RobinsonData:
+def robinson_matrix(G: FiniteGroup, sylow: FiniteGroup | None = None) -> RobinsonData:
     """Assemble the defect-zero data and the GF(2) matrix N.
 
     The double cosets come one at a time from ``groups.double_cosets``.
@@ -101,7 +100,7 @@ def robinson_matrix(G: FiniteGroup, sylow: FiniteGroup | None = None,
             coset_dz.append([G.elements[j] for j in dz_members])
 
     x_reps = [members[0] for members in coset_dz]
-    raw, rows = _counts(G, S, x_reps, threads)
+    raw, rows = _counts(G, S, x_reps)
     return RobinsonData(
         group=G, sylow=S, classes=defect_zero_classes(G), y0_size=y0_size,
         coset_reps=coset_reps, coset_defect_zero=coset_dz,
@@ -116,7 +115,7 @@ def repick(base: RobinsonData, rng: random.Random) -> RobinsonData:
     are rebuilt.
     """
     x_reps = [rng.choice(members) for members in base.coset_defect_zero]
-    raw, rows = _counts(base.group, base.sylow, x_reps, 1)
+    raw, rows = _counts(base.group, base.sylow, x_reps)
     return replace(base, x_reps=x_reps, raw_counts=raw, matrix_rows=rows)
 
 
@@ -126,8 +125,8 @@ def _defect_zero_rows(G: FiniteGroup) -> dict[int, int]:
         ci for ci, c in enumerate(conjugacy_classes(G)) if c.centralizer_order % 2 == 1)}
 
 
-def _counts(G: FiniteGroup, S: FiniteGroup, x_reps: list[tuple],
-            threads: int) -> tuple[list[list[int]], list[int]]:
+def _counts(G: FiniteGroup, S: FiniteGroup,
+            x_reps: list[tuple]) -> tuple[list[list[int]], list[int]]:
     """The counts |y_i^G meet x_j S| and the rows of N, bit-packed over GF(2)."""
     class_table = class_index_table(G)
     dz_rows = _defect_zero_rows(G)
@@ -141,7 +140,7 @@ def _counts(G: FiniteGroup, S: FiniteGroup, x_reps: list[tuple],
                 counts[row] += 1
         return counts
 
-    columns = parallel_map(column, x_reps, threads)
+    columns = [column(xj) for xj in x_reps]
     raw = [[col[i] for col in columns] for i in range(len(dz_rows))]
     rows = []
     for counts in raw:
@@ -153,9 +152,9 @@ def _counts(G: FiniteGroup, S: FiniteGroup, x_reps: list[tuple],
     return raw, rows
 
 
-def defect_zero_block_count(G: FiniteGroup, threads: int = 1) -> tuple[int, int]:
+def defect_zero_block_count(G: FiniteGroup) -> tuple[int, int]:
     """(rank of N N^T over GF(2), the bound min(|X|, |Y|))."""
-    data = robinson_matrix(G, threads=threads)
+    data = robinson_matrix(G)
     return data.gram_rank(), data.bound()
 
 
@@ -166,9 +165,7 @@ def two_complement_shortcut(G: FiniteGroup) -> int | None:
     so it suffices that they form a subgroup of odd index equal to the full
     odd part.
     """
-    odd_part = G.order
-    while odd_part % 2 == 0:
-        odd_part //= 2
+    odd_part = G.order // _p_part(G.order, 2)
     odd_elements = [e for e in G.elements if G.element_order(e) % 2 == 1]
     if len(odd_elements) != odd_part:
         return None

@@ -41,7 +41,6 @@ from .groups import (
     normalizer,
     quotient_group,
     subgroup_orbit,
-    sylow_subgroup,
     two_core,
 )
 from .util import check
@@ -671,11 +670,7 @@ def _index2_subgroups_matching(big: FiniteGroup, reference: FiniteGroup) -> int:
     squares = {action.mul(e, e) for e in big.elements}
     frattini = FiniteGroup.generate(action, sorted(squares), cap=big.order)
     quot = quotient_group(big, frattini)
-    reps = quot.marks["coset_reps"]
-    coset_of = {}
-    for cid, rep in enumerate(reps):
-        for f in frattini.elements:
-            coset_of[action.mul(f, rep)] = cid
+    coset_of = quot.marks["coset_of"]
     ref_print = fingerprint(reference)
     count = 0
     for H in _all_subgroups(quot):
@@ -684,7 +679,7 @@ def _index2_subgroups_matching(big: FiniteGroup, reference: FiniteGroup) -> int:
         # in the regular action a quotient element corresponds to the coset
         # id it sends the identity coset to
         member_ids = {e[0] for e in H.elements}
-        selected = [g for g in big.elements if coset_of[g] in member_ids]
+        selected = [g for g, cid in zip(big.elements, coset_of) if cid in member_ids]
         sub = FiniteGroup.from_elements(action, selected)
         if fingerprint(sub) == ref_print:
             count += 1

@@ -296,19 +296,24 @@ def quaternion_group(order: int) -> FiniteGroup:
 _SL2_LEVELS = {5: 0, 25: 1}
 
 
-def _split_args(body: str) -> list[str]:
+def split_top(s: str, sep: str) -> list[str]:
+    """s split at each sep outside parentheses, parts stripped."""
     parts = []
     depth = 0
     start = 0
-    for i, ch in enumerate(body):
-        if ch == "(":
+    i = 0
+    while i < len(s):
+        if s[i] == "(":
             depth += 1
-        elif ch == ")":
+        elif s[i] == ")":
             depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(body[start:i])
-            start = i + 1
-    parts.append(body[start:])
+        elif depth == 0 and s.startswith(sep, i):
+            parts.append(s[start:i])
+            start = i + len(sep)
+            i += len(sep)
+            continue
+        i += 1
+    parts.append(s[start:])
     return [p.strip() for p in parts]
 
 
@@ -350,13 +355,13 @@ def named_group(spec: str) -> FiniteGroup:
         return quaternion_group(int(m.group(1)))
     m = re.fullmatch(r"wr\((.*)\)", s)
     if m:
-        args = _split_args(m.group(1))
+        args = split_top(m.group(1), ",")
         if len(args) != 2:
             raise UnknownSpec(f"wr takes two arguments: {spec!r}")
         return wreath_product(named_group(args[0]), named_group(args[1]), name=s)
     m = re.fullmatch(r"x\((.*)\)", s)
     if m:
-        args = _split_args(m.group(1))
+        args = split_top(m.group(1), ",")
         if len(args) != 2:
             raise UnknownSpec(f"x takes two arguments: {spec!r}")
         return direct_product(named_group(args[0]), named_group(args[1]), name=s)

@@ -86,11 +86,10 @@ def test_hasse_json_node_count(capsys):
     assert len(json.loads(out)["nodes"]) == 17
 
 
-def test_json_determinism_across_threads(capsys):
+def test_json_determinism_across_runs(capsys):
     reports = []
-    for threads in ("1", "2"):
-        code, out = run_cli(["--json", "--threads", threads,
-                             "defect-zero", "--group", "S6"], capsys)
+    for _ in range(2):
+        code, out = run_cli(["--json", "defect-zero", "--group", "S6"], capsys)
         assert code == 0
         report = json.loads(out)
         report.pop("timing")
@@ -99,9 +98,31 @@ def test_json_determinism_across_threads(capsys):
 
 
 def test_usage_error_exit_two():
+    # there is no --threads option: the program runs in one thread
+    for argv in (["no-such-command"], ["--threads", "2", "defect-zero", "--group", "S6"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["weights", "--system", "F", "--l", "-1"],
+    ["lim", "--l", "-1"],
+    ["hasse", "--l", "-3"],
+    ["verify", "quaternion", "--l", "-1"],
+    ["verify", "sol", "--l", "x"],
+])
+def test_bad_level_exit_two(argv, capsys):
     with pytest.raises(SystemExit) as err:
-        main(["no-such-command"])
+        main(argv)
     assert err.value.code == 2
+    assert "nonnegative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target, l", [("quaternion", "0"), ("sol", "2")])
+def test_verify_level_out_of_range_exit_two(target, l, capsys):
+    assert main(["verify", target, "--l", l]) == 2
+    assert f"verify {target} requires --l" in capsys.readouterr().err
 
 
 def test_unknown_group_exit_two(capsys):

@@ -28,6 +28,7 @@ from solweights.groups import (
     normalizer,
     odd_core,
     quotient_group,
+    right_cosets,
     subgroup_orbit,
     sylow_subgroup,
     trivial_intersection,
@@ -492,6 +493,32 @@ def test_double_cosets_product_count(monkeypatch):
     assert calls[0] <= G.order + S.order * n_cosets
 
 
+@pytest.mark.parametrize("spec, p", [("GL(4,2)", 2), ("S6", 3)])
+def test_right_cosets_partition(monkeypatch, spec, p):
+    G = named_group(spec)
+    H = sylow_subgroup(G, p)
+    calls = [0]
+    mul = PermAction.mul
+
+    def counted(self, a, b):
+        calls[0] += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(PermAction, "mul", counted)
+    label, cosets = right_cosets(G, H)
+    assert calls[0] == G.order
+    monkeypatch.undo()
+    assert sorted(j for coset in cosets for j in coset) == list(range(G.order))
+    assert all(len(coset) == H.order for coset in cosets)
+    # numbered by first element, which each coset lists first
+    assert all(coset[0] == min(coset) for coset in cosets)
+    assert [coset[0] for coset in cosets] == sorted(coset[0] for coset in cosets)
+    for k, coset in enumerate(cosets):
+        assert {label[j] for j in coset} == {k}
+        g = G.elements[coset[0]]
+        assert {G.index[G.mul(h, g)] for h in H.elements} == set(coset)
+
+
 def test_trivial_intersection_constant_on_cosets():
     rng = random.Random(19)
     G = symmetric_group(5)
@@ -518,6 +545,23 @@ def test_quotient_not_normal():
     H = FiniteGroup.generate(G.action, [(1, 0, 2)], cap=3)
     with pytest.raises(NotNormal):
         quotient_group(G, H)
+
+
+@pytest.mark.parametrize("spec, kernel", [("quat(16)", center), ("S4", derived_subgroup)])
+def test_quotient_coset_labels_match_reps(spec, kernel):
+    G = named_group(spec)
+    N = kernel(G)
+    Q = quotient_group(G, N)
+    reps, coset_of = Q.marks["coset_reps"], Q.marks["coset_of"]
+    assert len(reps) == Q.order and len(coset_of) == G.order
+    # each element lies in N times its coset's representative
+    for g, k in zip(G.elements, coset_of):
+        assert G.mul(g, G.inv(reps[k])) in N.index
+    # each representative is the first element of its coset, labelled by its number
+    firsts = {}
+    for i, k in enumerate(coset_of):
+        firsts.setdefault(k, G.elements[i])
+    assert [firsts[k] for k in range(len(reps))] == reps
 
 
 def test_quotient_class_count_central():

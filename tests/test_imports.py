@@ -1,0 +1,36 @@
+"""Every import in the package is used."""
+
+import ast
+from pathlib import Path
+
+import solweights
+
+PACKAGE = Path(solweights.__file__).parent
+SCOPES = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names bound by an import and never read in the import's scope (the
+    module, or the function that holds a local import)."""
+    tree = ast.parse(path.read_text())
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        scope = parents[node]
+        while not isinstance(scope, SCOPES):
+            scope = parents[scope]
+        read = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            if name not in read:
+                unused.append(f"{path.name}:{node.lineno} {name}")
+    return unused
+
+
+def test_no_unused_imports():
+    found = [entry for path in sorted(PACKAGE.glob("*.py")) for entry in unused_imports(path)]
+    assert found == []

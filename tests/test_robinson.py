@@ -132,14 +132,6 @@ def test_choice_invariance_light():
     assert rep2.all_equal and rep2.baseline == 4
 
 
-def test_threads_do_not_change_result():
-    G = named_group("S6")
-    a = robinson_matrix(G, threads=1)
-    b = robinson_matrix(G, threads=3)
-    assert a.matrix_rows == b.matrix_rows
-    assert a.raw_counts == b.raw_counts
-
-
 @pytest.mark.parametrize("spec", ["S6", "wr(S3,S3)"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_repick_matches_full_recompute(spec, seed):
