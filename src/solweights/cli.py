@@ -109,7 +109,7 @@ def cmd_cohomology(args):
     from .zoo import named_group
 
     G = named_group(args.group)
-    if args.prime:
+    if args.prime is not None:
         results = h2_dim(G, args.prime, name=args.group).to_json()
     else:
         results = odd_h2_kx(G, name=args.group).to_json()
@@ -139,14 +139,21 @@ def _level(text: str) -> int:
     return int(text)
 
 
+def _positive(text: str) -> int:
+    """The --cap argument and SOLWEIGHTS_CAP: a positive integer."""
+    if not text.isdecimal() or int(text) == 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="solweights",
         description="Exact verification suite for the 2-local weight computations",
     )
     parser.add_argument("--json", action="store_true", help="emit a JSON run report")
-    parser.add_argument("--cap", type=int, default=None,
-                        help="override the enumeration cap")
+    parser.add_argument("--cap", type=_positive, default=None,
+                        help="override the enumeration cap (a positive integer)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("defect-zero", help="defect-zero block data for one group")
@@ -188,9 +195,9 @@ def main(argv: list[str] | None = None) -> int:
     cap = args.cap
     if cap is None and os.environ.get(ENV_CAP):
         try:
-            cap = int(os.environ[ENV_CAP])
-        except ValueError:
-            print(f"bad {ENV_CAP} value", file=sys.stderr)
+            cap = _positive(os.environ[ENV_CAP])
+        except argparse.ArgumentTypeError as exc:
+            print(f"bad {ENV_CAP} value: {exc}", file=sys.stderr)
             return 2
     saved_cap = groups.DEFAULT_CAP
     if cap is not None:

@@ -32,6 +32,7 @@ from .groups import (
     _prime_factors,
     abelian_invariants,
     abelianization,
+    is_normal,
     normalizer,
     quotient_group,
     sylow_subgroup,
@@ -92,12 +93,6 @@ def is_p_perfect(G: FiniteGroup, p: int) -> bool:
     """True iff the abelianization has trivial p-part."""
     ab = abelianization(G)
     return ab.order % p != 0
-
-
-def h1_dim(G: FiniteGroup, p: int) -> int:
-    """dim Hom(G, F_p) = p-rank of the abelianization."""
-    inv = abelian_invariants(abelianization(G))
-    return sum(1 for d in inv if d % p == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +272,8 @@ def h2_wreath_c3(G: FiniteGroup, name: str | None = None) -> H2Certificate:
     W = sylow_subgroup(G, p)
     if W.order != 81:
         raise WrongSylowShape(f"Sylow 3-subgroup of {gname} has order {W.order}, need 81")
-    for g in G.generators:
-        for w in W.generators:
-            if G.conj(w, g) not in W.index:
-                raise WrongSylowShape("Sylow 3-subgroup is not normal")
+    if not is_normal(G, W):
+        raise WrongSylowShape("Sylow 3-subgroup is not normal")
     base = _wreath_base(G, W)
     if base is None:
         raise WrongSylowShape("no elementary abelian rank-3 base of index 3 found")
@@ -387,10 +380,8 @@ def three_term_vanishing(G: FiniteGroup, N: FiniteGroup, p: int,
     Raises Inconclusive when some term is nonzero or not computable.
     """
     gname = name or G.name or "group"
-    for g in G.generators:
-        for n in N.generators:
-            if G.conj(n, g) not in N.index:
-                raise Inconclusive("given subgroup is not normal")
+    if not is_normal(G, N):
+        raise Inconclusive("given subgroup is not normal")
     h2n = h2_dim(N, p, name="base")
     if h2n.dim != 0:
         raise Inconclusive(f"H^2 of the base is nonzero (dim {h2n.dim})")
@@ -428,8 +419,10 @@ def h2_kunneth(G: FiniteGroup, p: int, name: str | None = None) -> H2Certificate
 
 
 def h2_dim(G: FiniteGroup, p: int, name: str | None = None) -> H2Certificate:
-    """H^2(G, F_p) by the first applicable path."""
+    """H^2(G, F_p) by the first applicable path, for an odd prime p."""
     gname = name or G.name or "group"
+    if p < 3 or _prime_factors(p) != [p]:
+        raise UnsupportedSylow(f"p must be an odd prime, got {p}")
     P = sylow_subgroup(G, p)
     if P.order == 1 or (_is_abelian(P) and (len(abelian_invariants(P)) == 1
                                             or (P.exponent() == p and P.order in (p * p, p ** 3)))):

@@ -207,10 +207,6 @@ class FiniteField:
             order += 1
         return order
 
-    def embed(self, a: int) -> int:
-        """Embed a base-field encoding into this field (identity by design)."""
-        return a
-
     def __repr__(self):
         if self.base is None:
             return f"GF({self.char})"

@@ -20,11 +20,12 @@ model fields at l = 0 and 1) and go through the field's methods otherwise.
 Groups cache their full element enumeration (breadth-first closure from the
 identity, deterministic in the generator order) and structural data derived
 from it.  A ``FiniteGroup`` is append-only: its elements, generators and
-marks are fixed at construction, and the derived data (``_classes``,
-``_class_table``, ``_center``, ``_derived``, ``_sylow``) is filled in lazily
-on first use and never changed after.  Every operation here is a function
-of its inputs alone, so a shared memoized group gives the same results
-whichever caller fills its caches first.
+marks are fixed at construction, and its one memo ``_memo`` gains an entry
+per ``cached_per_group`` call (classes with their index table, center,
+derived subgroup, Sylow subgroups, normalizers and the fingerprint) on first
+use, never changed after and freed with the group.  Every operation here is
+a function of its inputs alone, so a shared memoized group gives the same
+results whichever caller fills its memo first.
 """
 
 from __future__ import annotations
@@ -59,6 +60,21 @@ def cached_per_cap(fn: Callable) -> Callable:
         if key not in memo:
             memo[key] = fn(*args)
         return memo[key]
+
+    return cached
+
+
+def cached_per_group(fn: Callable) -> Callable:
+    """Memoize fn(G, *args) in G's own memo, so the result lives as long as
+    G.  Groups come from cap-keyed memos or are built locally, so a result
+    is never served under a lower cap than the one it was built under."""
+
+    @functools.wraps(fn)
+    def cached(G: "FiniteGroup", *args):
+        key = (fn, *args)
+        if key not in G._memo:
+            G._memo[key] = fn(G, *args)
+        return G._memo[key]
 
     return cached
 
@@ -272,11 +288,7 @@ class FiniteGroup:
         self.order = len(elements)
         self.name = name
         self.marks = marks or {}
-        self._classes: list[ConjClass] | None = None
-        self._class_table: list[int] | None = None
-        self._center: FiniteGroup | None = None
-        self._derived: FiniteGroup | None = None
-        self._sylow: dict[int, FiniteGroup] = {}
+        self._memo: dict = {}
 
     # -- construction -------------------------------------------------------
 
@@ -447,11 +459,10 @@ def _orbit(start, generators: Sequence, act: Callable,
     return points, [tuple(perm) for perm in perms]
 
 
-def conjugacy_classes(G: FiniteGroup) -> list[ConjClass]:
+@cached_per_group
+def _class_data(G: FiniteGroup) -> tuple[list[ConjClass], list[int]]:
     """Conjugacy classes by orbit of representatives under generator
-    conjugation; the same pass fills the table of class_index_table."""
-    if G._classes is not None:
-        return G._classes
+    conjugation, and the class index of each element index."""
     elements, index, mul = G.elements, G.index, G.action.mul
     gen_pairs = [(G.action.inv(g), g) for g in G.generators]
 
@@ -471,14 +482,17 @@ def conjugacy_classes(G: FiniteGroup) -> list[ConjClass]:
         if G.order % size:
             raise RuntimeError("class size does not divide group order")
         classes.append(ConjClass(rep=e, size=size, centralizer_order=G.order // size))
-    G._classes, G._class_table = classes, table
-    return classes
+    return classes, table
+
+
+def conjugacy_classes(G: FiniteGroup) -> list[ConjClass]:
+    """Conjugacy classes, numbered by their first element in enumeration order."""
+    return _class_data(G)[0]
 
 
 def class_index_table(G: FiniteGroup) -> list[int]:
     """Map element index -> conjugacy class index."""
-    conjugacy_classes(G)
-    return G._class_table
+    return _class_data(G)[1]
 
 
 def right_cosets(G: FiniteGroup, H: FiniteGroup) -> tuple[list[int], list[list[int]]]:
@@ -552,19 +566,20 @@ def centralizer_of_subgroup(G: FiniteGroup, P: FiniteGroup) -> FiniteGroup:
     return _scan(G, _commutes_with(G, P.generators), center(P) if P.is_subgroup_of(G) else None)
 
 
+@cached_per_group
 def normalizer(G: FiniteGroup, P: FiniteGroup) -> FiniteGroup:
     """N_G(P) by a walk over G (P need not be a subgroup of G).
 
     When P <= G, P lies in N_G(P), so one test per right coset P g decides
     the whole coset: [G:P] tests.  Otherwise every element is tested.
+    The result is memoized on G, keyed on the object P.
     """
     return _scan(G, lambda h: _normalizes(G, h, P), P if P.is_subgroup_of(G) else None)
 
 
+@cached_per_group
 def center(G: FiniteGroup) -> FiniteGroup:
-    if G._center is None:
-        G._center = _scan(G, _commutes_with(G, G.generators))
-    return G._center
+    return _scan(G, _commutes_with(G, G.generators))
 
 
 @dataclass(frozen=True)
@@ -611,6 +626,7 @@ def _p_part(n: int, p: int) -> int:
     return out
 
 
+@cached_per_group
 def sylow_subgroup(G: FiniteGroup, p: int) -> FiniteGroup:
     """A Sylow p-subgroup by the normalizer extension loop.
 
@@ -618,9 +634,6 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> FiniteGroup:
     extend by the p-part of its first element whose p-power lands inside.
     Ties are broken by enumeration order, so the result is deterministic.
     """
-    cached = G._sylow.get(p)
-    if cached is not None:
-        return cached
     target = _p_part(G.order, p)
     current = G.subgroup([])
     mul = G.action.mul
@@ -641,7 +654,6 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> FiniteGroup:
             break
         if not extended:
             raise RuntimeError("Sylow extension loop stalled")
-    G._sylow[p] = current
     return current
 
 
@@ -720,17 +732,15 @@ def quotient_group(G: FiniteGroup, N: FiniteGroup) -> FiniteGroup:
     return Q
 
 
+@cached_per_group
 def derived_subgroup(G: FiniteGroup) -> FiniteGroup:
-    if G._derived is not None:
-        return G._derived
     mul = G.action.mul
     inv = G.action.inv
     comms = set()
     for a in G.generators:
         for b in G.generators:
             comms.add(mul(mul(inv(a), inv(b)), mul(a, b)))
-    G._derived = _normal_closure(G, sorted(comms))
-    return G._derived
+    return _normal_closure(G, sorted(comms))
 
 
 def abelianization(G: FiniteGroup) -> FiniteGroup:
@@ -754,18 +764,6 @@ def abelian_invariants(A: FiniteGroup) -> tuple[int, ...]:
     return tuple(factors)
 
 
-def largest_normal_subgroup(G: FiniteGroup, order_ok: Callable[[int], bool]) -> FiniteGroup:
-    """Largest normal subgroup generated by classes whose normal closure has
-    admissible order (used with 'odd' for the 2'-core and '2-power' for O_2)."""
-    gens: list[Element] = []
-    for cls in conjugacy_classes(G):
-        closure_gens = gens + [cls.rep]
-        candidate = _normal_closure(G, closure_gens)
-        if order_ok(candidate.order):
-            gens = list(candidate.generators)
-    return _normal_closure(G, gens)
-
-
 def _normal_closure(G: FiniteGroup, seed: Sequence[Element]) -> FiniteGroup:
     mul = G.action.mul
     inv = G.action.inv
@@ -785,14 +783,15 @@ def _normal_closure(G: FiniteGroup, seed: Sequence[Element]) -> FiniteGroup:
     return current
 
 
-def odd_core(G: FiniteGroup) -> FiniteGroup:
-    """O_{2'}(G), the largest normal odd-order subgroup."""
-    return largest_normal_subgroup(G, lambda n: n % 2 == 1)
-
-
 def two_core(G: FiniteGroup) -> FiniteGroup:
-    """O_2(G), the largest normal 2-subgroup."""
-    return largest_normal_subgroup(G, lambda n: n == _p_part(n, 2))
+    """O_2(G), the largest normal 2-subgroup: each class representative
+    joins when its normal closure with those taken so far is a 2-group."""
+    gens: list[Element] = []
+    for cls in conjugacy_classes(G):
+        candidate = _normal_closure(G, gens + [cls.rep])
+        if candidate.order == _p_part(candidate.order, 2):
+            gens = list(candidate.generators)
+    return _normal_closure(G, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -828,6 +827,7 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+@cached_per_group
 def fingerprint(G: FiniteGroup) -> GroupFingerprint:
     """Isomorphism-invariant record of structural data."""
     sizes = tuple(sorted(c.size for c in conjugacy_classes(G)))
@@ -943,14 +943,13 @@ def identify(G: FiniteGroup, reference: FiniteGroup) -> str | None:
     """Two-tier identification against a reference group.
 
     Returns "isomorphism-verified" when the exhaustive search succeeds
-    (order <= 400), "fingerprint-verified" when only fingerprints match
-    (the documented weaker guarantee), or None on fingerprint mismatch.
+    (order <= 400, where ``isomorphic`` compares fingerprints first),
+    "fingerprint-verified" when only fingerprints match (the documented
+    weaker guarantee), or None on a mismatch.
     """
-    if fingerprint(G) != fingerprint(reference):
-        return None
     if G.order <= ISO_SEARCH_LIMIT:
         return "isomorphism-verified" if isomorphic(G, reference) else None
-    return "fingerprint-verified"
+    return "fingerprint-verified" if fingerprint(G) == fingerprint(reference) else None
 
 
 # ---------------------------------------------------------------------------

@@ -282,12 +282,11 @@ def verify_lim_A2(l: int) -> dict:
     caveats = ["chain classes are identified with class-label sequences; exact "
                "on the support because the three supporting classes are weakly "
                "closed (data)"]
+    singleton_values = {}
+    for row in tables["f_lpos" if l >= 1 else "l0"]:
+        cert = odd_h2_kx(resolve_out_descriptor(row.out["F"]), name=row.label)
+        singleton_values[row.label] = cert.conclusion
     if l >= 1:
-        rows = tables["f_lpos"]
-        singleton_values = {}
-        for row in rows:
-            cert = odd_h2_kx(resolve_out_descriptor(row.out["F"]), name=row.label)
-            singleton_values[row.label] = cert.conclusion
         diagram = load_hasse("lpos")
         poset = build_chain_poset([lab for lab, _ in diagram.nodes], diagram.edges,
                                   max_length=2)
@@ -300,11 +299,6 @@ def verify_lim_A2(l: int) -> dict:
                 "pass": criterion == "a" and lim == 0
                 and all(v == "0" for v in singleton_values.values())}
 
-    rows = tables["l0"]
-    singleton_values = {}
-    for row in rows:
-        cert = odd_h2_kx(resolve_out_descriptor(row.out["F"]), name=row.label)
-        singleton_values[row.label] = cert.conclusion
     nonzero = sorted(lab for lab, v in singleton_values.items() if v != "0")
     facts = {}
 

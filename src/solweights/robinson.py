@@ -19,7 +19,6 @@ from .groups import (
     class_index_table,
     conjugacy_classes,
     double_cosets,
-    odd_core,
     sylow_subgroup,
     trivial_intersection,
 )
@@ -177,12 +176,6 @@ def two_complement_shortcut(G: FiniteGroup) -> int | None:
     if complement.order != odd_part:
         return None
     return len(defect_zero_classes(G))
-
-
-def defect_zero_lower_bound(G: FiniteGroup) -> int:
-    """Number of defect-zero G-classes lying inside the odd core O_{2'}(G)."""
-    core = odd_core(G)
-    return sum(1 for c in defect_zero_classes(G) if c.rep in core.index)
 
 
 def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:

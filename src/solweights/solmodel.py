@@ -196,14 +196,8 @@ def verify_quaternion_lemma(level: int) -> dict:
     checks.append(check("c^2 = x^-1", True, mat.mul(c, c) == mat.inv(x), l=level))
 
     # (a) normal forms x^i y^j
-    powers = {mat.identity}
-    acc = mat.identity
-    for _ in range(n - 1):
-        acc = mat.mul(acc, x)
-        powers.add(acc)
-    forms = set(powers)
-    for e in powers:
-        forms.add(mat.mul(e, y))
+    powers = set(R.subgroup([x]).elements)
+    forms = powers | {mat.mul(e, y) for e in powers}
     checks.append(check("normal forms x^i y^j", R.order, len(forms), l=level))
 
     # (b) elements outside <x> have order 4
@@ -213,11 +207,7 @@ def verify_quaternion_lemma(level: int) -> dict:
 
     # (c) x^i y ~ x^j y iff i = j mod 2
     class_of = class_index_table(R)
-    xy_class = []  # class index of x^i y
-    acc = mat.identity
-    for _ in range(n):
-        xy_class.append(class_of[R.index[mat.mul(acc, y)]])
-        acc = mat.mul(acc, x)
+    xy_class = [class_of[R.index[mat.mul(R.power(x, i), y)]] for i in range(n)]
     parity_ok = all((xy_class[i] == xy_class[j]) == ((i - j) % 2 == 0)
                     for i in range(n) for j in range(n))
     checks.append(check("x^i y fusion parity", True, parity_ok, l=level))
@@ -227,11 +217,9 @@ def verify_quaternion_lemma(level: int) -> dict:
     checks.append(check("number of Q8 subgroups", 2 ** level, len(quats), l=level))
     x_2l = Q.generators[0]
     predicted = set()
-    acc = mat.identity
     for i in range(n):
-        H = FiniteGroup.generate(mat, [x_2l, mat.mul(acc, y)], cap=9)
+        H = FiniteGroup.generate(mat, [x_2l, mat.mul(R.power(x, i), y)], cap=9)
         predicted.add(tuple(sorted(H.elements)))
-        acc = mat.mul(acc, x)
     checks.append(check("Q8 subgroups are <x^(2^l), x^i y>", True,
                         predicted == quats, l=level))
 
@@ -328,7 +316,7 @@ def verify_torus_sequence(level: int) -> dict:
         checks.append(check("unique normal four subgroup", 1,
                             _count_normal_four_subgroups(S), l=level))
         checks.append(check("unique homocyclic C4^3 subgroup", 1,
-                            _count_c4_cubed(S, model), l=level))
+                            _count_c4_cubed(S), l=level))
     else:
         skipped.append("uniqueness searches (normal four subgroup, homocyclic "
                        "rank-3 subgroup) are exhaustive at l = 0 only")
@@ -357,52 +345,35 @@ def _count_normal_four_subgroups(S: FiniteGroup) -> int:
     return count
 
 
-def _count_c4_cubed(S: FiniteGroup, model: SolModel) -> int:
+def _count_c4_cubed(S: FiniteGroup) -> int:
     """Exhaustive count of subgroups of S isomorphic to C4 x C4 x C4."""
     action = S.action
     order4 = [e for e in S.elements if S.element_order(e) == 4]
-    # commuting order-4 elements per element, by index
-    pos = {e: i for i, e in enumerate(order4)}
     pairs_seen = set()
     rank2 = []
     for i, a in enumerate(order4):
         for b in order4[i + 1:]:
             if action.mul(a, b) != action.mul(b, a):
                 continue
-            # <a, b> ~ C4 x C4 iff the 16 products a^i b^j are distinct
-            products = set()
-            ai = action.identity
-            for _ in range(4):
-                bj = ai
-                for _ in range(4):
-                    products.add(bj)
-                    bj = action.mul(bj, b)
-                ai = action.mul(ai, a)
-            if len(products) != 16:
+            # commuting a, b of order 4 give C4 x C4 iff <a, b> has order 16
+            H = S.subgroup([a, b])
+            if H.order != 16:
                 continue
-            key = tuple(sorted(products))
+            key = tuple(sorted(H.elements))
             if key not in pairs_seen:
                 pairs_seen.add(key)
-                rank2.append((a, b, products))
+                rank2.append((a, b, H))
     found = set()
-    for a, b, products in rank2:
+    for a, b, H in rank2:
         for c in order4:
-            if c in products:
+            if c in H.index:
                 continue
             if (action.mul(a, c) != action.mul(c, a)
                     or action.mul(b, c) != action.mul(c, b)):
                 continue
-            members = set()
-            ck = action.identity
-            for _ in range(4):
-                for q in products:
-                    members.add(action.mul(q, ck))
-                ck = action.mul(ck, c)
-            if len(members) != 64:
-                continue
-            sub = FiniteGroup.from_elements(action, members)
-            if abelian_invariants(sub) == (4, 4, 4):
-                found.add(tuple(sorted(members)))
+            sub = S.subgroup([a, b, c])
+            if sub.order == 64 and abelian_invariants(sub) == (4, 4, 4):
+                found.add(tuple(sorted(sub.elements)))
     return len(found)
 
 
@@ -418,12 +389,9 @@ def sectional_rank_certificate() -> dict:
     exhaustive scan of the order-16 quotient."""
     t0 = time.monotonic()
     model = build_sol_model(0)
-    action = model.action
     checks = []
 
-    squares = {action.mul(e, e) for e in model.r0.elements}
-    frattini = FiniteGroup.generate(action, sorted(squares), cap=model.r0.order)
-    frat_quot = quotient_group(model.r0, frattini)
+    frat_quot = _frattini_quotient(model.r0)
     checks.append(check("R0 Frattini quotient rank", (2,) * 6,
                         abelian_invariants(frat_quot), l=0))
     lower = len(abelian_invariants(frat_quot))
@@ -440,6 +408,13 @@ def sectional_rank_certificate() -> dict:
     return {"command": "sectional-rank", "l": 0, "checks": checks,
             "lower": lower, "upper": upper,
             "elapsed_s": round(time.monotonic() - t0, 3)}
+
+
+def _frattini_quotient(P: FiniteGroup) -> FiniteGroup:
+    """P / Phi(P) for a 2-group P, where Phi(P) is generated by the squares."""
+    squares = {P.mul(e, e) for e in P.elements}
+    frattini = FiniteGroup.generate(P.action, sorted(squares), cap=P.order)
+    return quotient_group(P, frattini)
 
 
 def _all_subgroups(G: FiniteGroup) -> list[FiniteGroup]:
@@ -462,20 +437,18 @@ def _all_subgroups(G: FiniteGroup) -> list[FiniteGroup]:
 
 
 def _sectional_rank_exhaustive(G: FiniteGroup) -> int:
-    """Max rank of an elementary abelian quotient H/N over all subgroups H
-    and normal subgroups N of H; exhaustive, for small G."""
+    """Max rank of an elementary abelian 2-group quotient H/N over all
+    subgroups H and normal subgroups N of H; exhaustive, for small G.  H/N
+    is elementary abelian exactly when every element squares to 1, and its
+    rank is then log2 |H/N|."""
     best = 0
     for H in _all_subgroups(G):
-        subs = _all_subgroups(H)
-        for N in subs:
+        for N in _all_subgroups(H):
             if not is_normal(H, N):
                 continue
             Q = quotient_group(H, N)
-            if Q.order == 1:
-                continue
-            invs = abelian_invariants(Q)
-            if invs and all(d == 2 for d in invs):
-                best = max(best, len(invs))
+            if all(Q.mul(e, e) == Q.identity for e in Q.elements):
+                best = max(best, Q.order.bit_length() - 1)
     return best
 
 
@@ -600,6 +573,7 @@ def spotcheck_l1() -> dict:
         action, [g for Q in model.factor_q for g in Q.generators],
         cap=300, name="Q1Q2Q3")
     checks.append(check("|Q1Q2Q3| = 2^8", 256, p0.order, l=1))
+    # generators of N_K(Q1Q2Q3), for (i) and for the container of (iv)
     n_gens = [_embed(action, tuple(g), i)
               for i in range(3) for g in model.sl2_normalizer_gens]
     n_gens += [model.tau, model.rho]
@@ -641,11 +615,7 @@ def spotcheck_l1() -> dict:
     p0_like = _index2_subgroups_matching(p_plus, p0)
     checks.append(check("P0 characteristic in P meet L0", 1, p0_like, l=1))
 
-    m_container = FiniteGroup.generate(
-        action,
-        [_embed(action, tuple(g), i) for i in range(3)
-         for g in model.sl2_normalizer_gens] + [model.tau, model.rho],
-        cap=400_000, name="N_K(Q1Q2Q3)")
+    m_container = FiniteGroup.generate(action, n_gens, cap=400_000, name="N_K(Q1Q2Q3)")
     checks.append(check("|N_K(Q1Q2Q3)| = 48^3/2 * 6", 331776,
                         m_container.order, l=1))
     n_p = normalizer(m_container, P)
@@ -666,10 +636,7 @@ def _index2_subgroups_matching(big: FiniteGroup, reference: FiniteGroup) -> int:
     Index-2 subgroups contain the Frattini subgroup, so they are preimages
     of the index-2 subgroups of the elementary abelian Frattini quotient.
     """
-    action = big.action
-    squares = {action.mul(e, e) for e in big.elements}
-    frattini = FiniteGroup.generate(action, sorted(squares), cap=big.order)
-    quot = quotient_group(big, frattini)
+    quot = _frattini_quotient(big)
     coset_of = quot.marks["coset_of"]
     ref_print = fingerprint(reference)
     count = 0
@@ -680,7 +647,7 @@ def _index2_subgroups_matching(big: FiniteGroup, reference: FiniteGroup) -> int:
         # id it sends the identity coset to
         member_ids = {e[0] for e in H.elements}
         selected = [g for g, cid in zip(big.elements, coset_of) if cid in member_ids]
-        sub = FiniteGroup.from_elements(action, selected)
+        sub = FiniteGroup.from_elements(big.action, selected)
         if fingerprint(sub) == ref_print:
             count += 1
     return count

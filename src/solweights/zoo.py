@@ -31,6 +31,8 @@ def trivial_group() -> FiniteGroup:
 
 
 def cyclic_group(n: int) -> FiniteGroup:
+    if n < 1:
+        raise UnknownSpec(f"cyclic order must be at least 1, got {n}")
     if n == 1:
         return trivial_group()
     act = PermAction(n)
@@ -72,6 +74,8 @@ def dihedral_group(order: int) -> FiniteGroup:
 
 def gl_n_2(n: int) -> FiniteGroup:
     """GL_n(2) acting on the 2^n - 1 nonzero vectors (bitmask - 1 as point)."""
+    if n < 2:
+        raise UnknownSpec(f"GL(n,2) needs n >= 2, got {n}")
     size = (1 << n) - 1
     act = PermAction(size)
 

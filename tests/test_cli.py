@@ -129,6 +129,30 @@ def test_unknown_group_exit_two(capsys):
     assert main(["defect-zero", "--group", "Q8"]) == 2
 
 
+@pytest.mark.parametrize("spec", ["GL(1,2)", "GL(0,2)", "C0"])
+def test_degenerate_group_spec_exit_two(spec, capsys):
+    assert main(["defect-zero", "--group", spec]) == 2
+    assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("group,prime", [("S5", "4"), ("S5", "9"), ("S5", "-3"),
+                                         ("A7", "6"), ("S5", "0")])
+def test_cohomology_non_prime_exit_two(group, prime, capsys):
+    assert main(["cohomology", "--group", group, "--prime", prime]) == 2
+    assert "odd prime" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["-3", "0", "ten"])
+def test_nonpositive_cap_exit_two(monkeypatch, cap, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["--cap", cap, "hasse", "--l", "0"])
+    assert err.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+    monkeypatch.setenv("SOLWEIGHTS_CAP", cap)
+    assert main(["hasse", "--l", "0"]) == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
 def test_cap_exceeded_exit_three(capsys):
     # S8 is not cached by any other test, so the tiny cap bites during closure
     assert main(["--cap", "10", "defect-zero", "--group", "S8"]) == 3

@@ -2,7 +2,6 @@ import pytest
 
 from solweights.errors import Inconclusive, UnsupportedSylow
 from solweights.cohomology import (
-    h1_dim,
     h2_abelian_sylow,
     h2_dim,
     h2_kunneth,
@@ -25,10 +24,10 @@ def test_p_perfect():
     assert not is_p_perfect(named_group("C3"), 3)
 
 
-def test_h1_dims():
-    assert h1_dim(named_group("x(C3,C3)"), 3) == 2
-    assert h1_dim(named_group("wr(S3,C2)"), 3) == 0
-    assert h1_dim(named_group("S7"), 2) == 1
+@pytest.mark.parametrize("p", [-3, 0, 1, 2, 4, 6, 9])
+def test_h2_dim_rejects_non_odd_primes(p):
+    with pytest.raises(UnsupportedSylow, match="odd prime"):
+        h2_dim(named_group("S5"), p)
 
 
 # -- dimension zero at p = 3 ----------------------------------------------------

@@ -26,12 +26,12 @@ from solweights.groups import (
     induced_outer,
     isomorphic,
     normalizer,
-    odd_core,
     quotient_group,
     right_cosets,
     subgroup_orbit,
     sylow_subgroup,
     trivial_intersection,
+    two_core,
 )
 from solweights.zoo import (
     alternating_group,
@@ -342,6 +342,11 @@ def sylow_case(spec, p):
     return lambda: (named_group(spec), sylow_subgroup(named_group(spec), p))
 
 
+def fresh(G):
+    """A new copy of G, with the same enumeration and an empty memo."""
+    return FiniteGroup.generate(G.action, G.generators, cap=G.order + 1)
+
+
 def subgroup_case(spec, gens):
     return lambda: (named_group(spec), named_group(spec).subgroup(gens))
 
@@ -371,13 +376,24 @@ def test_coset_walk_matches_per_element_scan(case):
 
 @pytest.mark.parametrize("spec,p", [("S6", 3), ("GL(4,2)", 7)])
 def test_normalizer_one_test_per_right_coset(monkeypatch, spec, p):
-    G = named_group(spec)
+    G = fresh(named_group(spec))
     P = sylow_subgroup(G, p)
     calls = []
     real = groups._normalizes
     monkeypatch.setattr(groups, "_normalizes", lambda *args: calls.append(1) or real(*args))
     normalizer(G, P)
     assert len(calls) == G.order // P.order
+
+
+def test_normalizer_memoized_per_group(monkeypatch):
+    G = fresh(named_group("GL(4,2)"))
+    P = sylow_subgroup(G, 7)
+    first = normalizer(G, P)
+    calls = []
+    real = groups._normalizes
+    monkeypatch.setattr(groups, "_normalizes", lambda *args: calls.append(1) or real(*args))
+    assert normalizer(G, P) is first
+    assert calls == []
 
 
 # -- subgroup orbits ------------------------------------------------------------
@@ -593,6 +609,17 @@ def test_isomorphic_small():
     assert identify(named_group("quat(8)"), named_group("D8")) is None
 
 
+@pytest.mark.parametrize("spec,verdict", [("m108", "isomorphism-verified"),
+                                          ("wr(S3,S3)", "fingerprint-verified")])
+def test_identify_builds_each_fingerprint_once(monkeypatch, spec, verdict):
+    calls = []
+    real = groups.abelianization
+    monkeypatch.setattr(groups, "abelianization", lambda G: calls.append(1) or real(G))
+    G = named_group(spec)
+    assert identify(fresh(G), fresh(G)) == verdict
+    assert len(calls) <= 2
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_fingerprint_relabeling_invariance(rnd):
@@ -704,10 +731,9 @@ def test_derived_and_abelianization():
     assert abelian_invariants(abelianization(G)) == (2,)
 
 
-def test_odd_core():
-    assert odd_core(named_group("S3")).order == 3
-    assert odd_core(named_group("A7")).order == 1
-    assert odd_core(named_group("m108")).order == 27
+@pytest.mark.parametrize("spec,order", [("S3", 1), ("S4", 4), ("D8", 8), ("x(C2,S3)", 2)])
+def test_two_core(spec, order):
+    assert two_core(named_group(spec)).order == order
 
 
 def test_class_index_table_consistent():

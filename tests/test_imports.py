@@ -1,4 +1,4 @@
-"""Every import in the package is used."""
+"""Every import in the package is used, and every function is referenced."""
 
 import ast
 from pathlib import Path
@@ -34,3 +34,24 @@ def unused_imports(path: Path) -> list[str]:
 def test_no_unused_imports():
     found = [entry for path in sorted(PACKAGE.glob("*.py")) for entry in unused_imports(path)]
     assert found == []
+
+
+# entry points called only by the tests, the benchmark or the acceptance suite
+UNREFERENCED_OK = {"bound_check", "choice_invariance", "constant_functor", "cycle_type",
+                   "two_complement_shortcut", "centralizer"}
+
+
+def test_every_function_is_referenced():
+    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+    defined = {node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    referenced = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    assert sorted(defined - referenced - UNREFERENCED_OK) == []

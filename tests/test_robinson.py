@@ -8,7 +8,6 @@ from solweights.robinson import (
     cycle_type,
     defect_zero_block_count,
     defect_zero_classes,
-    defect_zero_lower_bound,
     repick,
     robinson_matrix,
     two_complement_shortcut,
@@ -104,12 +103,6 @@ def test_shortcut_agrees_with_matrix():
         shortcut = two_complement_shortcut(G)
         assert shortcut is not None
         assert shortcut == defect_zero_block_count(G)[0]
-
-
-def test_lower_bound_on_table_groups():
-    for spec, expected in TABLE:
-        G = named_group(spec)
-        assert defect_zero_lower_bound(G) <= expected
 
 
 def test_multiplicativity_spot_checks():

@@ -4,7 +4,7 @@ from solweights import solmodel
 from solweights.fields import field_tower
 from solweights.groups import FiniteGroup, MatrixAction, center, conjugacy_classes, normalizer
 from solweights.solmodel import _q8_subgroups, build_sol_model
-from solweights.zoo import sl2_group
+from solweights.zoo import named_group, sl2_group
 
 from conftest import failing
 
@@ -120,6 +120,13 @@ def test_torus_report_l1(torus_report_l1):
 def test_sectional_report(sectional_report):
     assert failing(sectional_report) == []
     assert (sectional_report["lower"], sectional_report["upper"]) == (6, 6)
+
+
+@pytest.mark.parametrize("spec,rank", [("S4", 2), ("quat(8)", 2), ("D8", 2),
+                                       ("x(C2,D8)", 3), ("C4", 1)])
+def test_sectional_rank_exhaustive(spec, rank):
+    # S4 has non-abelian sections, such as S4 itself and S4/V4
+    assert solmodel._sectional_rank_exhaustive(named_group(spec)) == rank
 
 
 @pytest.mark.parametrize("level", [1, 2, 3])
