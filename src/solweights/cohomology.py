@@ -204,7 +204,6 @@ def h2_abelian_sylow(G: FiniteGroup, p: int, basis: list[tuple] | None = None,
         # cyclic case: automorphism t -> t^k acts on H^1 and H^2 by k
         N = normalizer(G, P)
         gen = P.generators[0] if P.generators else P.identity
-        n = P.order
         ks = set()
         for g in N.generators:
             img = G.conj(gen, g)
@@ -282,7 +281,7 @@ def h2_wreath_c3(G: FiniteGroup, name: str | None = None) -> H2Certificate:
     # outer generator transversal: generators of G modulo W, as elements
     outer = [g for g in G.generators if g not in W.index]
 
-    logs = _discrete_log_table(base, basis, p)
+    _discrete_log_table(base, basis, p)  # raises unless the basis spans the base
     acting = [rho] + outer
     mats, basis = action_matrices(G, base, p, basis=basis, acting=acting)
     blocks = h2_module_matrices(p, mats, rank=3)
@@ -339,7 +338,6 @@ def _wreath_base(G: FiniteGroup, W: FiniteGroup) -> FiniteGroup | None:
             base.marks["v_basis"] = list(marks)
             return base
     # search: order-27 abelian subgroups of W of exponent 3
-    seen = set()
     for e in W.elements:
         if W.element_order(e) != 3:
             continue

@@ -7,10 +7,12 @@ in [0, size): a level-(k+1) element a + b*z is encoded as
 enc(a) + enc(b) * 5^(2^k).  Subfield elements keep their encoding under this
 convention, so embedding up the tower is the identity on encodings.
 
-Fields with at most TABLE_MAX elements get full add/mul/inv tables (a tower
-level builds its rows from the base field's tables); larger levels fall back
-to recursive pair arithmetic with memoised product caches (adequate here,
-since only small matrix groups live over the big levels).
+Every field has add/mul/neg/inv tables, and its arithmetic indexes them.
+Prime fields and fields with at most TABLE_MAX elements fill them eagerly as
+lists (a tower level builds its rows from the base field's tables); larger
+levels fill them lazily by recursive pair arithmetic, entry by entry, as
+they are read (adequate here, since only small matrix groups live over the
+big levels).
 """
 
 from __future__ import annotations
@@ -18,6 +20,20 @@ from __future__ import annotations
 import functools
 
 TABLE_MAX = 1024
+
+
+class _Memo(dict):
+    """A lazily filled table: a missing entry is computed by fn and kept."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 class FiniteField:
@@ -43,11 +59,7 @@ class FiniteField:
             self.omega = 2 if base is None else base.size  # z = (0, 1)
         else:
             self.omega = None
-        self._tables_ready = False
-        self._mul_cache: dict[tuple[int, int], int] = {}
-        self._inv_cache: dict[int, int] = {}
-        if self.size <= TABLE_MAX:
-            self._build_tables()
+        self._build_tables()
         if base is not None:
             self._check_irreducible()
         self._verify_axioms()
@@ -57,15 +69,21 @@ class FiniteField:
     def _build_tables(self):
         n = self.size
         if self.base is None:
-            add = [[self._add_slow(a, b) for b in range(n)] for a in range(n)]
-            mul = [[self._mul_slow(a, b) for b in range(n)] for a in range(n)]
-        else:
+            add = [[(a + b) % n for b in range(n)] for a in range(n)]
+            mul = [[a * b % n for b in range(n)] for a in range(n)]
+            neg = [-a % n for a in range(n)]
+        elif n <= TABLE_MAX:
             add, mul = self._tower_tables()
-        self.add_table = add
-        self.mul_table = mul
-        self.neg_table = [self._neg_slow(a) for a in range(n)]
+            neg = [self._neg_slow(a) for a in range(n)]
+        else:
+            # rows and entries are computed on first read and kept
+            self.add_table = _Memo(lambda a: _Memo(functools.partial(self._add_slow, a)))
+            self.mul_table = _Memo(lambda a: _Memo(functools.partial(self._mul_slow, a)))
+            self.neg_table = _Memo(self._neg_slow)
+            self.inv_table = _Memo(lambda a: self.pow(a, n - 2))
+            return
+        self.add_table, self.mul_table, self.neg_table = add, mul, neg
         self.inv_table = [0] + [mul[a].index(1) for a in range(1, n)]
-        self._tables_ready = True
 
     def _tower_tables(self) -> tuple[list[list[int]], list[list[int]]]:
         # rows from the base field's tables; b = b0 + b1 * half runs with b1
@@ -101,7 +119,7 @@ class FiniteField:
 
     def _verify_axioms(self):
         # seeded associativity/distributivity spot checks; inverses are
-        # checked exhaustively on table-backed fields
+        # checked exhaustively on fields of at most TABLE_MAX elements
         import random
 
         rng = random.Random(self.size)
@@ -113,7 +131,7 @@ class FiniteField:
                 raise AssertionError("multiplication is not associative")
             if self.mul(a, self.add(b, c)) != self.add(self.mul(a, b), self.mul(a, c)):
                 raise AssertionError("multiplication does not distribute")
-        if self._tables_ready:
+        if self.size <= TABLE_MAX:
             for a in range(1, self.size):
                 if self.mul(a, self.inv_table[a]) != 1:
                     raise AssertionError("inverse table is wrong")
@@ -127,54 +145,35 @@ class FiniteField:
         return lo + hi * self.half
 
     def _add_slow(self, a: int, b: int) -> int:
-        if self.base is None:
-            return (a + b) % self.char
-        base = self.base
+        A = self.base.add_table
         a0, a1 = self._split(a)
         b0, b1 = self._split(b)
-        return self._join(base.add(a0, b0), base.add(a1, b1))
+        return self._join(A[a0][b0], A[a1][b1])
 
     def _neg_slow(self, a: int) -> int:
-        if self.base is None:
-            return (-a) % self.char
-        base = self.base
+        N = self.base.neg_table
         a0, a1 = self._split(a)
-        return self._join(base.neg(a0), base.neg(a1))
+        return self._join(N[a0], N[a1])
 
     def _mul_slow(self, a: int, b: int) -> int:
-        if self.base is None:
-            return (a * b) % self.char
-        # (a0 + a1 z)(b0 + b1 z) = (a0 b0 + a1 b1 w) + (a0 b1 + a1 b0) z
-        base = self.base
+        # (a0 + a1 z)(b0 + b1 z) = (a0 b0 + w a1 b1) + (a0 b1 + a1 b0) z; w
+        # leads its product, so a lazily tabled base fills one row for it
+        A, M = self.base.add_table, self.base.mul_table
         a0, a1 = self._split(a)
         b0, b1 = self._split(b)
-        w = base.omega
-        lo = base.add(base.mul(a0, b0), base.mul(base.mul(a1, b1), w))
-        hi = base.add(base.mul(a0, b1), base.mul(a1, b0))
+        Ma0, Ma1 = M[a0], M[a1]
+        lo = A[Ma0[b0]][M[self.base.omega][Ma1[b1]]]
+        hi = A[Ma0[b1]][Ma1[b0]]
         return self._join(lo, hi)
 
     def add(self, a: int, b: int) -> int:
-        if self._tables_ready:
-            return self.add_table[a][b]
-        return self._add_slow(a, b)
+        return self.add_table[a][b]
 
     def neg(self, a: int) -> int:
-        if self._tables_ready:
-            return self.neg_table[a]
-        return self._neg_slow(a)
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self.neg_table[a]
 
     def mul(self, a: int, b: int) -> int:
-        if self._tables_ready:
-            return self.mul_table[a][b]
-        key = (a, b) if a <= b else (b, a)
-        cached = self._mul_cache.get(key)
-        if cached is None:
-            cached = self._mul_slow(a, b)
-            self._mul_cache[key] = cached
-        return cached
+        return self.mul_table[a][b]
 
     def pow(self, a: int, e: int) -> int:
         result = 1
@@ -189,23 +188,7 @@ class FiniteField:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
-        if self._tables_ready:
-            return self.inv_table[a]
-        cached = self._inv_cache.get(a)
-        if cached is None:
-            cached = self.pow(a, self.size - 2)
-            self._inv_cache[a] = cached
-        return cached
-
-    def element_order(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("order of zero field element")
-        order = 1
-        acc = a
-        while acc != 1:
-            acc = self.mul(acc, a)
-            order += 1
-        return order
+        return self.inv_table[a]
 
     def __repr__(self):
         if self.base is None:

@@ -157,7 +157,7 @@ def load_tables() -> dict[str, list[TableRow]]:
             raise ValidationFailure(
                 f"table {key}: {len(rows)} rows, expected {_EXPECTED_ROWS[key]}")
         for row in rows:
-            for system, desc in row.out.items():
+            for desc in row.out.values():
                 if desc is None:
                     continue
                 try:

@@ -13,9 +13,9 @@ multiplication, inversion and identity for one element kind:
   as encodings.  The two representatives first differ at that entry, so
   this keeps the lexicographically smaller tuple.
 
-Matrix and triple products index the field's ``mul_table``, ``add_table``
-and ``neg_table`` directly when the field has them (GF(25) and GF(625), the
-model fields at l = 0 and 1) and go through the field's methods otherwise.
+Matrix and triple products index the field's ``mul_table``, ``add_table``,
+``neg_table`` and ``inv_table`` directly, on every field; the field decides
+whether they are filled eagerly or on demand.
 
 Groups cache their full element enumeration (breadth-first closure from the
 identity, deterministic in the generator order) and structural data derived
@@ -120,18 +120,6 @@ def _mat_mul_tables(M: list, A: list, x: Element, y: Element) -> Element:
     return (A[Ma[e]][Mb[h]], A[Ma[g]][Mb[i]], A[Mc[e]][Md[h]], A[Mc[g]][Md[i]])
 
 
-def _mat_mul_field(f: FiniteField, x: Element, y: Element) -> Element:
-    """2x2 product through the field's methods (fields without tables)."""
-    a, b, c, d = x
-    e, g, h, i = y
-    return (
-        f.add(f.mul(a, e), f.mul(b, h)),
-        f.add(f.mul(a, g), f.mul(b, i)),
-        f.add(f.mul(c, e), f.mul(d, h)),
-        f.add(f.mul(c, g), f.mul(d, i)),
-    )
-
-
 class MatrixAction:
     """2x2 matrices over a finite field, flat tuples (a, b, c, d)."""
 
@@ -143,28 +131,17 @@ class MatrixAction:
 
     def mul(self, x: Element, y: Element) -> Element:
         f = self.field
-        if f._tables_ready:
-            return _mat_mul_tables(f.mul_table, f.add_table, x, y)
-        return _mat_mul_field(f, x, y)
+        return _mat_mul_tables(f.mul_table, f.add_table, x, y)
 
     def inv(self, x: Element) -> Element:
         f = self.field
         a, b, c, d = x
-        if f._tables_ready:
-            M, N = f.mul_table, f.neg_table
-            dt = f.add_table[M[a][d]][N[M[b][c]]]
-            if not dt:
-                raise ZeroDivisionError("inverse of a singular matrix")
-            Mi = M[f.inv_table[dt]]
-            return (Mi[d], Mi[N[b]], Mi[N[c]], Mi[a])
-        dt = f.sub(f.mul(a, d), f.mul(b, c))
-        di = f.inv(dt)
-        return (
-            f.mul(d, di),
-            f.mul(f.neg(b), di),
-            f.mul(f.neg(c), di),
-            f.mul(a, di),
-        )
+        M, N = f.mul_table, f.neg_table
+        dt = f.add_table[M[a][d]][N[M[b][c]]]
+        if not dt:
+            raise ZeroDivisionError("inverse of a singular matrix")
+        Mi = M[f.inv_table[dt]]
+        return (Mi[d], Mi[N[b]], Mi[N[c]], Mi[a])
 
     def __repr__(self):
         return f"MatrixAction({self.field!r})"
@@ -198,8 +175,7 @@ class CentralTripleAction:
         self.identity: Element = (one, one, one, (0, 1, 2))
 
     def canonical(self, m1: Element, m2: Element, m3: Element, pi: Element) -> Element:
-        f = self.field
-        neg = f.neg_table.__getitem__ if f._tables_ready else f.neg
+        neg = self.field.neg_table.__getitem__
         # the two representatives first differ at the first nonzero entry v,
         # where one holds v and the other -v; a group element's m1 is
         # invertible, so v is in its first row, and only other inputs reach
@@ -221,15 +197,10 @@ class CentralTripleAction:
         permuted[p[1]] = y[1]
         permuted[p[2]] = y[2]
         f = self.field
-        if f._tables_ready:
-            M, A = f.mul_table, f.add_table
-            m1 = _mat_mul_tables(M, A, a1, permuted[0])
-            m2 = _mat_mul_tables(M, A, a2, permuted[1])
-            m3 = _mat_mul_tables(M, A, a3, permuted[2])
-        else:
-            m1 = _mat_mul_field(f, a1, permuted[0])
-            m2 = _mat_mul_field(f, a2, permuted[1])
-            m3 = _mat_mul_field(f, a3, permuted[2])
+        M, A = f.mul_table, f.add_table
+        m1 = _mat_mul_tables(M, A, a1, permuted[0])
+        m2 = _mat_mul_tables(M, A, a2, permuted[1])
+        m3 = _mat_mul_tables(M, A, a3, permuted[2])
         return self.canonical(m1, m2, m3, (p[q[0]], p[q[1]], p[q[2]]))
 
     def inv(self, x: Element) -> Element:
@@ -636,7 +607,6 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> FiniteGroup:
     """
     target = _p_part(G.order, p)
     current = G.subgroup([])
-    mul = G.action.mul
     while current.order < target:
         extended = False
         for h in G.elements:

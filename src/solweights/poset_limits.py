@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import CyclicInput, MissingCertificate, NotAFunctor
+from .groups import FiniteGroup, cached_per_cap, normalizer, sylow_subgroup
 from .linalg import mat_mul, rank
 
 Chain = tuple[str, ...]
@@ -260,6 +261,16 @@ def lim_dimension(F: ChainFunctor) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cached_per_cap
+def _a7_four_group():
+    """The four-group of A7 whose normalizer certifies the map out of R; one
+    object per cap, so a repeat call finds its normalizer in A7's memo."""
+    from .zoo import named_group
+
+    return FiniteGroup.generate(named_group("A7").action,
+                                [(1, 0, 3, 2, 4, 5, 6), (2, 3, 0, 1, 4, 5, 6)], cap=5)
+
+
 def verify_lim_A2(l: int) -> dict:
     """Certify that the limit of the degree-two twist functor vanishes.
 
@@ -275,7 +286,6 @@ def verify_lim_A2(l: int) -> dict:
     """
     from .cohomology import h2_dim, odd_h2_kx
     from .fusion_tables import load_hasse, load_tables, resolve_out_descriptor
-    from .groups import FiniteGroup, normalizer, sylow_subgroup
     from .zoo import named_group
 
     tables = load_tables()
@@ -304,10 +314,7 @@ def verify_lim_A2(l: int) -> dict:
 
     # the normalizer of a four-group in A7 and the two cohomology dimensions
     a7 = named_group("A7")
-    act = a7.action
-    v4 = FiniteGroup.generate(act, [(1, 0, 3, 2, 4, 5, 6), (2, 3, 0, 1, 4, 5, 6)],
-                              cap=5)
-    n72 = normalizer(a7, v4)
+    n72 = normalizer(a7, _a7_four_group())
     facts["normalizer_order"] = n72.order
     facts["index"] = a7.order // n72.order
     facts["index_coprime_to_3"] = facts["index"] % 3 != 0

@@ -137,7 +137,7 @@ def check_arithmetic(act, elements, ref_mul, ref_inv, rng, pairs):
 @pytest.mark.parametrize("level", [0, 1])
 def test_triple_arithmetic_matches_reference(sol0, sol1, level):
     model = (sol0, sol1)[level]
-    assert model.action.field._tables_ready
+    assert isinstance(model.action.field.mul_table, list)
     rng = random.Random(300 + level)
     elements = model_elements(model, rng, 500)
     check_arithmetic(model.action, elements, ref_triple_mul, ref_triple_inv, rng, 2000)
@@ -145,9 +145,9 @@ def test_triple_arithmetic_matches_reference(sol0, sol1, level):
 
 @pytest.mark.parametrize("level", [1, 2, 4])
 def test_matrix_arithmetic_matches_reference(level):
-    # GF(25) and GF(625) index the field tables; GF(5^16) takes the slow path
+    # GF(25) and GF(625) have eager tables; GF(5^16) fills its tables lazily
     act = MatrixAction(tower_field(level))
-    assert act.field._tables_ready == (level < 4)
+    assert isinstance(act.field.mul_table, list) == (level < 4)
     rng = random.Random(400 + level)
     elements = [random_invertible(act.field, rng) for _ in range(300)]
     check_arithmetic(act, elements, ref_mat_mul, ref_mat_inv, rng, 500)
@@ -155,14 +155,14 @@ def test_matrix_arithmetic_matches_reference(level):
 
 @pytest.mark.parametrize("level", [1, 2, 4])
 def test_matrix_inverse_singular_raises(level):
-    # the table path (GF(25), GF(625)) fails like the field-method path
+    # eager tables (GF(25), GF(625)) fail like lazily filled ones (GF(5^16))
     with pytest.raises(ZeroDivisionError):
         MatrixAction(tower_field(level)).inv((1, 2, 1, 2))
 
 
 def test_triple_arithmetic_slow_field():
     act = CentralTripleAction(tower_field(4))
-    assert not act.field._tables_ready
+    assert not isinstance(act.field.mul_table, list)
     rng = random.Random(500)
     elements = [random_triple(act, rng) for _ in range(100)]
     check_arithmetic(act, elements, ref_triple_mul, ref_triple_inv, rng, 200)

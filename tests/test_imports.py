@@ -36,6 +36,29 @@ def test_no_unused_imports():
     assert found == []
 
 
+def unused_locals(path: Path) -> list[str]:
+    """Names a function stores and never reads, in its body or in the
+    functions nested in it (``_`` and global/nonlocal names are exempt)."""
+    tree = ast.parse(path.read_text())
+    unused = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        names = [n for n in ast.walk(func) if isinstance(n, ast.Name)]
+        read = {n.id for n in names if not isinstance(n.ctx, ast.Store)}
+        shared = {name for n in ast.walk(func) if isinstance(n, (ast.Global, ast.Nonlocal))
+                  for name in n.names}
+        for n in names:
+            if isinstance(n.ctx, ast.Store) and n.id not in read | shared | {"_"}:
+                unused.append(f"{path.name}:{n.lineno} {n.id}")
+    return unused
+
+
+def test_no_unused_locals():
+    found = [entry for path in sorted(PACKAGE.glob("*.py")) for entry in unused_locals(path)]
+    assert found == []
+
+
 # entry points called only by the tests, the benchmark or the acceptance suite
 UNREFERENCED_OK = {"bound_check", "choice_invariance", "constant_functor", "cycle_type",
                    "two_complement_shortcut", "centralizer"}

@@ -14,6 +14,7 @@ from solweights.poset_limits import (
     vanishing_criteria,
     verify_lim_A2,
 )
+from solweights.zoo import named_group
 
 
 def test_two_element_chain_poset():
@@ -155,3 +156,11 @@ def test_lim_l0_criterion_b():
     assert facts["index"] == 35 and facts["index_coprime_to_3"]
     assert facts["contains_sylow_3"]
     assert facts["h2_A7_dim"] == 1 and facts["h2_normalizer_dim"] == 1
+
+
+def test_lim_l0_repeat_call_leaves_a7_memo_unchanged():
+    a7 = named_group("A7")
+    first = verify_lim_A2(0)
+    size = len(a7._memo)
+    assert verify_lim_A2(0) == first
+    assert len(a7._memo) == size
