@@ -281,7 +281,6 @@ def h2_wreath_c3(G: FiniteGroup, name: str | None = None) -> H2Certificate:
     # outer generator transversal: generators of G modulo W, as elements
     outer = [g for g in G.generators if g not in W.index]
 
-    _discrete_log_table(base, basis, p)  # raises unless the basis spans the base
     acting = [rho] + outer
     mats, basis = action_matrices(G, base, p, basis=basis, acting=acting)
     blocks = h2_module_matrices(p, mats, rank=3)

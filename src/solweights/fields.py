@@ -80,7 +80,7 @@ class FiniteField:
             self.add_table = _Memo(lambda a: _Memo(functools.partial(self._add_slow, a)))
             self.mul_table = _Memo(lambda a: _Memo(functools.partial(self._mul_slow, a)))
             self.neg_table = _Memo(self._neg_slow)
-            self.inv_table = _Memo(lambda a: self.pow(a, n - 2))
+            self.inv_table = _Memo(self._inv_slow)
             return
         self.add_table, self.mul_table, self.neg_table = add, mul, neg
         self.inv_table = [0] + [mul[a].index(1) for a in range(1, n)]
@@ -165,6 +165,13 @@ class FiniteField:
         lo = A[Ma0[b0]][M[self.base.omega][Ma1[b1]]]
         hi = A[Ma0[b1]][Ma1[b0]]
         return self._join(lo, hi)
+
+    def _inv_slow(self, a: int) -> int:
+        # (a0 + a1 z)^-1 = (a0 - a1 z) / (a0^2 - w a1^2); 0 maps to 0, as on eager levels
+        A, M, N = self.base.add_table, self.base.mul_table, self.base.neg_table
+        a0, a1 = self._split(a)
+        d = self.base.inv_table[A[M[a0][a0]][N[M[self.base.omega][M[a1][a1]]]]]
+        return self._join(M[d][a0], M[d][N[a1]])
 
     def add(self, a: int, b: int) -> int:
         return self.add_table[a][b]

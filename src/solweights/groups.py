@@ -8,14 +8,16 @@ multiplication, inversion and identity for one element kind:
   entry tuples (row major),
 * ``CentralTripleAction(field)`` -- triples of 2x2 matrices together with a
   permutation of three coordinates, stored modulo the central sign
-  identification (m1, m2, m3, pi) ~ (-m1, -m2, -m3, pi); the stored
-  representative is the one whose first nonzero matrix entry v has v < -v
-  as encodings.  The two representatives first differ at that entry, so
-  this keeps the lexicographically smaller tuple.
+  identification (m1, m2, m3, pi) ~ (-m1, -m2, -m3, pi) as (c1, c2, c3, pi)
+  with each slot matrix one integer code, big-endian in its entries, so
+  codes order like matrix tuples; ``matrices`` decodes an element.  The
+  stored representative is the one whose first nonzero matrix entry v has
+  v < -v as encodings, which is the lexicographically smaller one.
 
-Matrix and triple products index the field's ``mul_table``, ``add_table``,
+Matrix products index the field's ``mul_table``, ``add_table``,
 ``neg_table`` and ``inv_table`` directly, on every field; the field decides
-whether they are filled eagerly or on demand.
+whether they are filled eagerly or on demand.  Triple products look slot
+codes up in the action's own memos, filled by matrix arithmetic on first use.
 
 Groups cache their full element enumeration (breadth-first closure from the
 identity, deterministic in the generator order) and structural data derived
@@ -42,7 +44,7 @@ from .errors import (
     OrbitCapExceeded,
     SubgroupNotContained,
 )
-from .fields import FiniteField
+from .fields import FiniteField, _Memo
 
 DEFAULT_CAP = 5_000_000  # bounds every closure and orbit; the CLI lowers it with --cap
 
@@ -112,14 +114,6 @@ class PermAction:
         return hash(("perm", self.n))
 
 
-def _mat_mul_tables(M: list, A: list, x: Element, y: Element) -> Element:
-    """2x2 product by direct lookup in a field's mul_table M and add_table A."""
-    a, b, c, d = x
-    e, g, h, i = y
-    Ma, Mb, Mc, Md = M[a], M[b], M[c], M[d]
-    return (A[Ma[e]][Mb[h]], A[Ma[g]][Mb[i]], A[Mc[e]][Md[h]], A[Mc[g]][Md[i]])
-
-
 class MatrixAction:
     """2x2 matrices over a finite field, flat tuples (a, b, c, d)."""
 
@@ -130,8 +124,11 @@ class MatrixAction:
         self.identity: Element = (1, 0, 0, 1)
 
     def mul(self, x: Element, y: Element) -> Element:
-        f = self.field
-        return _mat_mul_tables(f.mul_table, f.add_table, x, y)
+        M, A = self.field.mul_table, self.field.add_table
+        a, b, c, d = x
+        e, g, h, i = y
+        Ma, Mb, Mc, Md = M[a], M[b], M[c], M[d]
+        return (A[Ma[e]][Mb[h]], A[Ma[g]][Mb[i]], A[Mc[e]][Md[h]], A[Mc[g]][Md[i]])
 
     def inv(self, x: Element) -> Element:
         f = self.field
@@ -156,14 +153,22 @@ class MatrixAction:
 class CentralTripleAction:
     """Triples of 2x2 matrices with a coordinate permutation, modulo signs.
 
-    Elements are ((m1), (m2), (m3), pi) with each m a flat 2x2 tuple over the
-    field and pi a permutation tuple of (0, 1, 2).  The product permutes the
-    second factor's matrix triple by the first factor's pi before multiplying
-    componentwise; pi parts compose as functions.  Of the two central
-    representatives, the one whose first nonzero entry v of (m1, m2, m3)
-    satisfies v < -v is stored; that entry is where the two tuples first
-    differ, so it is the lexicographically smaller one.  Only that one is
-    built.
+    Elements are (c1, c2, c3, pi): each c is the code ((a n + b) n + c) n + d
+    of a 2x2 matrix (a, b, c, d) over the field, n = |F|, and pi is a
+    permutation tuple of (0, 1, 2).  The code is big-endian in the entries,
+    so codes compare like the matrix tuples.  ``make`` and ``canonical`` take
+    matrix tuples, and ``matrices`` decodes an element back into them.  The
+    product permutes the second factor's matrix triple by the first factor's
+    pi before multiplying componentwise; pi parts compose as functions, by a
+    table of the six permutations, so products share their pi tuples.  Of
+    the two central representatives, the one whose first nonzero entry v of
+    (m1, m2, m3) satisfies v < -v is stored; that entry is where the two
+    tuples first differ, so it is the lexicographically smaller one.
+
+    Products, negations, inverses and the sign rule (flip or not, by a
+    matrix's first nonzero entry) of slot matrices are memoized by code and
+    filled on first use, so once a group's few slot matrices are in, a
+    product is three table lookups and no matrix arithmetic.
     """
 
     kind = "central-triple"
@@ -171,51 +176,74 @@ class CentralTripleAction:
     def __init__(self, field: FiniteField):
         self.field = field
         self.mat = MatrixAction(field)
-        one = self.mat.identity
+        one = self._encode(self.mat.identity)
         self.identity: Element = (one, one, one, (0, 1, 2))
+        dec, enc = self._decode, self._encode
+        self._prod = _Memo(lambda a: _Memo(lambda b: enc(self.mat.mul(dec(a), dec(b)))))
+        self._neg = _Memo(lambda c: enc(map(field.neg_table.__getitem__, dec(c))))
+        self._inv = _Memo(lambda c: enc(self.mat.inv(dec(c))))
+        self._flip = _Memo(self._flip_code)
+        perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+        self._compose = {p: {q: (p[q[0]], p[q[1]], p[q[2]]) for q in perms} for p in perms}
+
+    def _encode(self, m: Iterable[int]) -> int:
+        code, n = 0, self.field.size
+        for v in m:
+            code = code * n + v
+        return code
+
+    def _decode(self, code: int) -> Element:
+        n = self.field.size
+        code, d = divmod(code, n)
+        code, c = divmod(code, n)
+        a, b = divmod(code, n)
+        return (a, b, c, d)
+
+    def _flip_code(self, code: int) -> bool:
+        v = next(filter(None, self._decode(code)), 0)
+        return self.field.neg_table[v] < v
+
+    def _canonical(self, c1: int, c2: int, c3: int, pi: Element) -> Element:
+        # the two representatives first differ at the first nonzero entry,
+        # which is that of the first nonzero slot matrix
+        if self._flip[c1 or c2 or c3]:
+            N = self._neg
+            return (N[c1], N[c2], N[c3], pi)
+        return (c1, c2, c3, pi)
 
     def canonical(self, m1: Element, m2: Element, m3: Element, pi: Element) -> Element:
-        neg = self.field.neg_table.__getitem__
-        # the two representatives first differ at the first nonzero entry v,
-        # where one holds v and the other -v; a group element's m1 is
-        # invertible, so v is in its first row, and only other inputs reach
-        # the full search
-        v = m1[0] or m1[1] or next(filter(None, m1 + m2 + m3), 0)
-        if neg(v) < v:
-            return (tuple(map(neg, m1)), tuple(map(neg, m2)), tuple(map(neg, m3)), pi)
-        return (m1, m2, m3, pi)
+        return self._canonical(self._encode(m1), self._encode(m2), self._encode(m3), pi)
 
     def make(self, m1: Element, m2: Element, m3: Element, pi: Element = (0, 1, 2)) -> Element:
         return self.canonical(m1, m2, m3, pi)
 
+    def matrices(self, x: Element) -> tuple:
+        """The element as (m1, m2, m3, pi) with flat 2x2 matrix tuples."""
+        return (*map(self._decode, x[:3]), x[3])
+
     def mul(self, x: Element, y: Element) -> Element:
         a1, a2, a3, p = x
-        q = y[3]
         # permuted[p[i]] = y[i]
-        permuted = [None, None, None]
+        permuted = [0, 0, 0]
         permuted[p[0]] = y[0]
         permuted[p[1]] = y[1]
         permuted[p[2]] = y[2]
-        f = self.field
-        M, A = f.mul_table, f.add_table
-        m1 = _mat_mul_tables(M, A, a1, permuted[0])
-        m2 = _mat_mul_tables(M, A, a2, permuted[1])
-        m3 = _mat_mul_tables(M, A, a3, permuted[2])
-        return self.canonical(m1, m2, m3, (p[q[0]], p[q[1]], p[q[2]]))
+        P = self._prod
+        return self._canonical(P[a1][permuted[0]], P[a2][permuted[1]], P[a3][permuted[2]],
+                               self._compose[p][y[3]])
 
     def inv(self, x: Element) -> Element:
         a1, a2, a3, p = x
         q = [0, 0, 0]
         for i, pi in enumerate(p):
             q[pi] = i
-        mi = self.mat.inv
-        inv_ms = (mi(a1), mi(a2), mi(a3))
+        inv = self._inv
         # ((t, p))^-1 = ((t^-1)^{p^-1}, p^-1): slot q[i] receives inv(t_i)
-        out = [None, None, None]
-        out[q[0]] = inv_ms[0]
-        out[q[1]] = inv_ms[1]
-        out[q[2]] = inv_ms[2]
-        return self.canonical(out[0], out[1], out[2], tuple(q))
+        out = [0, 0, 0]
+        out[q[0]] = inv[a1]
+        out[q[1]] = inv[a2]
+        out[q[2]] = inv[a3]
+        return self._canonical(out[0], out[1], out[2], tuple(q))
 
     def __repr__(self):
         return f"CentralTripleAction({self.field!r})"
@@ -941,13 +969,15 @@ def conjugation_permutation(N_action: Action, g: Element, P: FiniteGroup) -> Ele
     return tuple(images)
 
 
-def _coset_key(inner: FiniteGroup, base: Sequence[int], phi: Element) -> Element:
+def _coset_key(inner: FiniteGroup, columns: list[tuple], base: Sequence[int],
+               phi: Element) -> Element:
     """Label of the coset inner * phi: the member psi * phi whose images of
-    the base points are least.  An automorphism is fixed by its base images,
-    so only that one member is built in full."""
-    images = [phi[b] for b in base]
-    psi = min(inner.elements, key=lambda psi: tuple(map(psi.__getitem__, images)))
-    return inner.action.mul(psi, phi)
+    the base points are least (the first such psi on ties).  An automorphism
+    is fixed by its base images, so only that one member is built in full.
+    columns[j] lists psi[j] over inner's elements, so the comparison runs
+    column-wise at C speed."""
+    *_, i = min(zip(*[columns[phi[b]] for b in base], range(inner.order)))
+    return inner.action.mul(inner.elements[i], phi)
 
 
 def induced_outer(N_generators: Sequence[Element], P: FiniteGroup,
@@ -969,8 +999,9 @@ def induced_outer(N_generators: Sequence[Element], P: FiniteGroup,
     pmul = perm_action.mul
     # the label of Inn(P) itself: its member with the least base images
     start = min(inner.elements, key=lambda psi: [psi[b] for b in base])
+    columns = list(zip(*inner.elements))
     cosets, out_gens = _orbit(start, gen_perms,
-                              lambda rep, gp: _coset_key(inner, base, pmul(rep, gp)))
+                              lambda rep, gp: _coset_key(inner, columns, base, pmul(rep, gp)))
     n = len(cosets)
     Q = FiniteGroup.generate(PermAction(n), out_gens, cap=n + 1)
     if Q.order != n:

@@ -3,10 +3,12 @@
 K is built from three copies of SL_2(q), q = 5^(2^l), glued by a coordinate
 permutation group S3 and a simultaneous diagonal element, all modulo the
 central sign; elements are the canonical central triples of
-:class:`~solweights.groups.CentralTripleAction` over F_{q^2}.  The Sylow
-2-subgroup is S = R0<d, tau> where R0 is the product of per-factor
-generalized quaternion Sylow subgroups, d = [y, y, y]c is an involution
-inverting the torus, and tau swaps the first two coordinates.
+:class:`~solweights.groups.CentralTripleAction` over F_{q^2}, whose slot
+matrices are integer codes; ``action.matrices`` decodes one for a report
+(the s^2 check of ``spotcheck_l1``).  The Sylow 2-subgroup is S = R0<d, tau>
+where R0 is the product of per-factor generalized quaternion Sylow
+subgroups, d = [y, y, y]c is an involution inverting the torus, and tau
+swaps the first two coordinates.
 
 K itself is never enumerated (order about 1e7 at l = 0 and 1e13 at l = 1);
 normalizer orders are certified by subgroup orbits against the closed-form
@@ -602,7 +604,8 @@ def spotcheck_l1() -> dict:
     s = action.mul(_embed(action, model.x, 0), model.tau)
     s2 = action.mul(s, s)
     checks.append(check("s^2 = [x, x, 1]",
-                        action.make(model.x, model.x, mat.identity), s2, l=1))
+                        action.matrices(action.make(model.x, model.x, mat.identity)),
+                        action.matrices(s2), l=1))
     P = FiniteGroup.generate(action, list(p0.generators) + [s], cap=2048,
                              name="Q1Q2Q3<s>")
     checks.append(check("|P| = 1024, P/P0 cyclic of order 4", (1024, 4),

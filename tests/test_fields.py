@@ -79,6 +79,20 @@ def test_lazy_tables_match_pair_arithmetic(level):
         f.inv(0)
 
 
+@pytest.mark.parametrize("level", [3, 4])
+def test_lazy_inverse_by_norm_matches_power(level):
+    # the lazy inv_table inverts through the norm to the base field; it must
+    # agree with a^(q-2), and inv(0) must still fail
+    f = tower_field(level)
+    assert not isinstance(f.inv_table, list)
+    rng = random.Random(800 + level)
+    for _ in range(20):
+        a = rng.randrange(1, f.size)
+        assert f.inv_table[a] == f.pow(a, f.size - 2)
+    with pytest.raises(ZeroDivisionError):
+        f.inv(0)
+
+
 def test_field_axioms_randomized():
     rng = random.Random(7)
     for level in (1, 2, 3):

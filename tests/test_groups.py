@@ -124,12 +124,13 @@ def model_elements(model, rng, count):
     return out
 
 
-def check_arithmetic(act, elements, ref_mul, ref_inv, rng, pairs):
+def check_arithmetic(act, elements, ref_mul, ref_inv, rng, pairs, view=lambda x: x):
+    # view maps an element to the form the reference computes on
     f = act.field
     for _ in range(pairs):
         a, b, c = (rng.choice(elements) for _ in range(3))
-        assert act.mul(a, b) == ref_mul(f, a, b)
-        assert act.inv(a) == ref_inv(f, a)
+        assert view(act.mul(a, b)) == ref_mul(f, view(a), view(b))
+        assert view(act.inv(a)) == ref_inv(f, view(a))
         assert act.mul(act.mul(a, b), c) == act.mul(a, act.mul(b, c))
         assert act.mul(a, act.inv(a)) == act.identity
 
@@ -140,7 +141,8 @@ def test_triple_arithmetic_matches_reference(sol0, sol1, level):
     assert isinstance(model.action.field.mul_table, list)
     rng = random.Random(300 + level)
     elements = model_elements(model, rng, 500)
-    check_arithmetic(model.action, elements, ref_triple_mul, ref_triple_inv, rng, 2000)
+    check_arithmetic(model.action, elements, ref_triple_mul, ref_triple_inv, rng, 2000,
+                     view=model.action.matrices)
 
 
 @pytest.mark.parametrize("level", [1, 2, 4])
@@ -165,7 +167,8 @@ def test_triple_arithmetic_slow_field():
     assert not isinstance(act.field.mul_table, list)
     rng = random.Random(500)
     elements = [random_triple(act, rng) for _ in range(100)]
-    check_arithmetic(act, elements, ref_triple_mul, ref_triple_inv, rng, 200)
+    check_arithmetic(act, elements, ref_triple_mul, ref_triple_inv, rng, 200,
+                     view=act.matrices)
 
 
 @pytest.mark.parametrize("level", [1, 2, 4])
@@ -181,9 +184,36 @@ def test_canonical_singular_first_factor(level):
         if k % 2:
             ms[0] = (0, 0) + ms[0][2:]
         pi = tuple(rng.sample(range(3), 3))
-        assert act.canonical(*ms, pi) == ref_canonical(f, ms, pi)
+        assert act.matrices(act.canonical(*ms, pi)) == ref_canonical(f, ms, pi)
     zero = (0, 0, 0, 0)
-    assert act.canonical(zero, zero, zero, (0, 1, 2)) == (zero, zero, zero, (0, 1, 2))
+    assert (act.matrices(act.canonical(zero, zero, zero, (0, 1, 2)))
+            == (zero, zero, zero, (0, 1, 2)))
+
+
+@pytest.mark.parametrize("level", [1, 2, 4])
+def test_triple_codes_order_and_round_trip(level):
+    # slot matrices drawn from a small pool, so that comparisons often tie
+    # on the first slots and are decided further in
+    act = CentralTripleAction(tower_field(level))
+    rng = random.Random(700 + level)
+    pool = [random_invertible(act.field, rng) for _ in range(3)]
+    elements = [act.make(*(rng.choice(pool) for _ in range(3)), tuple(rng.sample(range(3), 3)))
+                for _ in range(40)]
+    elements += [random_triple(act, rng) for _ in range(20)]
+    for x in elements:
+        assert act.make(*act.matrices(x)) == x
+        for y in elements:
+            assert (x < y) == (act.matrices(x) < act.matrices(y))
+
+
+def test_triple_product_memo_stays_small(sol0):
+    # the l = 0 closure of N_K(Q) runs on few distinct slot matrices
+    act = CentralTripleAction(sol0.action.field)
+    n_gens, _, model_act = q_row_l0(sol0)
+    N = FiniteGroup.generate(act, [act.make(*model_act.matrices(g)) for g in n_gens],
+                             cap=100_000)
+    assert N.order == 82944
+    assert sum(map(len, act._prod.values())) < 5000
 
 
 # -- closure and enumeration --------------------------------------------------
