@@ -23,7 +23,7 @@ p^dim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import Inconclusive, UnsupportedSylow, WrongSylowShape
 from .groups import (
@@ -59,15 +59,7 @@ class H2Certificate:
     notes: list[str] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "group": self.group,
-            "prime": self.prime,
-            "dim": self.dim,
-            "path": self.path,
-            "invariant_vectors": self.invariant_vectors,
-            "basis_labels": self.basis_labels,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 @dataclass

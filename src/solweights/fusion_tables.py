@@ -292,8 +292,7 @@ def hasse_export(l: int, fmt: str = "dot") -> str:
     """DOT or JSON text for a Hasse diagram, deterministic node order."""
     tag = "l0" if l == 0 else "lpos"
     diagram = load_hasse(tag)
-    l_value = 0 if l == 0 else l
-    nodes = sorted(diagram.nodes, key=lambda n: (eval_exponent(n[1], l_value), n[0]))
+    nodes = sorted(diagram.nodes, key=lambda n: (eval_exponent(n[1], l), n[0]))
     edges = sorted(diagram.edges)
     if fmt == "json":
         import json
@@ -301,7 +300,7 @@ def hasse_export(l: int, fmt: str = "dot") -> str:
         return json.dumps({
             "l": l,
             "nodes": [{"label": lab, "order_exponent": exp,
-                       "order_exponent_at_l": eval_exponent(exp, l_value)}
+                       "order_exponent_at_l": eval_exponent(exp, l)}
                       for lab, exp in nodes],
             "edges": [[a, b] for a, b in edges],
         }, indent=2, sort_keys=True)
@@ -310,7 +309,7 @@ def hasse_export(l: int, fmt: str = "dot") -> str:
     lines = [f"digraph centric_radical_poset_l{l} {{", "  rankdir=BT;"]
     by_exp: dict[int, list[str]] = {}
     for lab, exp in nodes:
-        by_exp.setdefault(eval_exponent(exp, l_value), []).append(lab)
+        by_exp.setdefault(eval_exponent(exp, l), []).append(lab)
     for lab, exp in nodes:
         lines.append(f'  "{lab}" [label="{lab} (2^{exp})"];')
     for exp_val in sorted(by_exp):

@@ -17,8 +17,8 @@ inside an enumerated container chosen by the projection-to-factors argument:
 any element normalizing P also normalizes P meet L0, because L0 is normal
 in K.
 
-Verification reports are lists of dicts {check, l, expected, computed, pass}
-so the CLI can emit them directly.
+Each verification report is built by one :class:`_Report`; its checks are
+dicts {check, l, expected, computed, pass} so the CLI can emit them directly.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import time
 from dataclasses import dataclass
 
 from .groups import (
+    ISO_SEARCH_LIMIT,
     CentralTripleAction,
     FiniteGroup,
     MatrixAction,
@@ -82,8 +83,25 @@ def _embed(action: CentralTripleAction, m: tuple, slot: int) -> tuple:
     return action.make(ms[0], ms[1], ms[2])
 
 
-def _diag(action: CentralTripleAction, m: tuple) -> tuple:
-    return action.make(m, m, m)
+def _slotwise(action: CentralTripleAction, slot_gens, extras=()) -> list[tuple]:
+    """[g in slot i for i in 0, 1, 2 for g in slot_gens] + extras, the generators
+    of a product-type subgroup of K; closures over them enumerate in this order."""
+    return [_embed(action, g, i) for i in range(3) for g in slot_gens] + list(extras)
+
+
+class _Report:
+    """Builds one report {command, l, checks, *extra, elapsed_s}: every check
+    record carries the level, and elapsed_s runs from creation to ``done``."""
+
+    def __init__(self, command: str, level: int):
+        self.head = {"command": command, "l": level, "checks": []}
+        self.t0 = time.monotonic()
+
+    def check(self, name: str, expected, computed) -> None:
+        self.head["checks"].append(check(name, expected, computed, l=self.head["l"]))
+
+    def done(self, **extra) -> dict:
+        return {**self.head, **extra, "elapsed_s": round(time.monotonic() - self.t0, 3)}
 
 
 @cached_per_cap
@@ -99,12 +117,10 @@ def build_sol_model(level: int) -> SolModel:
 
     tau = action.make(mat.identity, mat.identity, mat.identity, (1, 0, 2))
     rho = action.make(mat.identity, mat.identity, mat.identity, (1, 2, 0))
-    cdiag = _diag(action, c)
-    d = action.mul(_diag(action, y), cdiag)
+    cdiag = action.make(c, c, c)
+    d = action.mul(action.make(y, y, y), cdiag)
 
-    r_i = [FiniteGroup.generate(action, [_embed(action, x, i), _embed(action, y, i)],
-                                cap=2 ** (level + 4), name=f"R{i + 1}") for i in range(3)]
-    r0_gens = [g for R in r_i for g in R.generators]
+    r0_gens = _slotwise(action, [x, y])
     r0 = FiniteGroup.generate(action, r0_gens, cap=2 ** (3 * level + 9), name="R0")
     sylow = FiniteGroup.generate(action, r0_gens + [d, tau],
                                  cap=2 ** (3 * level + 11), name=f"S(l={level})")
@@ -130,8 +146,7 @@ def build_sol_model(level: int) -> SolModel:
     # generators of K: the three SL_2(q) factors (subfield encodings embed
     # unchanged), the diagonal, and the permutation part
     sl2 = sl2_group(level)
-    k_gens = [_embed(action, g, i) for i in range(3) for g in sl2.generators]
-    k_gens += [cdiag, tau, rho]
+    k_gens = _slotwise(action, sl2.generators, [cdiag, tau, rho])
     q = sl2.action.field.size
     k_order = 6 * (q * (q - 1) * (q + 1)) ** 3
 
@@ -183,47 +198,44 @@ def verify_quaternion_lemma(level: int) -> dict:
     """Exhaustive check of the quaternion frame structure at 1 <= l <= 3."""
     if not 1 <= level <= 3:
         raise ValueError("quaternion verification is for levels 1..3")
-    t0 = time.monotonic()
+    rep = _Report("verify-quaternion", level)
     mat, x, y, c, R, Q = quaternion_frame(level)
-    checks = []
     n = 2 ** (level + 2)
-    checks.append(check("order of <x,y>", 2 ** (level + 3), R.order, l=level))
+    rep.check("order of <x,y>", 2 ** (level + 3), R.order)
 
     # relations
     rel = (R.power(x, n) == mat.identity
            and R.power(y, 4) == mat.identity
            and R.power(x, n // 2) == mat.mul(y, y)
            and mat.mul(mat.mul(mat.inv(y), x), y) == mat.inv(x))
-    checks.append(check("defining relations", True, rel, l=level))
-    checks.append(check("c^2 = x^-1", True, mat.mul(c, c) == mat.inv(x), l=level))
+    rep.check("defining relations", True, rel)
+    rep.check("c^2 = x^-1", True, mat.mul(c, c) == mat.inv(x))
 
     # (a) normal forms x^i y^j
     powers = set(R.subgroup([x]).elements)
     forms = powers | {mat.mul(e, y) for e in powers}
-    checks.append(check("normal forms x^i y^j", R.order, len(forms), l=level))
+    rep.check("normal forms x^i y^j", R.order, len(forms))
 
     # (b) elements outside <x> have order 4
     outside = [e for e in R.elements if e not in powers]
-    checks.append(check("outside <x> all order 4", True,
-                        all(R.element_order(e) == 4 for e in outside), l=level))
+    rep.check("outside <x> all order 4", True, all(R.element_order(e) == 4 for e in outside))
 
     # (c) x^i y ~ x^j y iff i = j mod 2
     class_of = class_index_table(R)
     xy_class = [class_of[R.index[mat.mul(R.power(x, i), y)]] for i in range(n)]
     parity_ok = all((xy_class[i] == xy_class[j]) == ((i - j) % 2 == 0)
                     for i in range(n) for j in range(n))
-    checks.append(check("x^i y fusion parity", True, parity_ok, l=level))
+    rep.check("x^i y fusion parity", True, parity_ok)
 
     # (d) exhaustive list of order-8 quaternion subgroups
     quats = _q8_subgroups(R)
-    checks.append(check("number of Q8 subgroups", 2 ** level, len(quats), l=level))
+    rep.check("number of Q8 subgroups", 2 ** level, len(quats))
     x_2l = Q.generators[0]
     predicted = set()
     for i in range(n):
         H = FiniteGroup.generate(mat, [x_2l, mat.mul(R.power(x, i), y)], cap=9)
         predicted.add(tuple(sorted(H.elements)))
-    checks.append(check("Q8 subgroups are <x^(2^l), x^i y>", True,
-                        predicted == quats, l=level))
+    rep.check("Q8 subgroups are <x^(2^l), x^i y>", True, predicted == quats)
 
     # (e) two conjugacy classes of length 2^(l-1)
     Qp = FiniteGroup.generate(mat, [x_2l, mat.mul(x, y)], cap=9)
@@ -235,35 +247,30 @@ def verify_quaternion_lemma(level: int) -> dict:
         orbits.append(orbit)
         remaining -= orbit
     lengths = sorted(len(o) for o in orbits)
-    checks.append(check("two classes of length 2^(l-1)",
-                        [2 ** (level - 1)] * 2, lengths, l=level))
+    rep.check("two classes of length 2^(l-1)", [2 ** (level - 1)] * 2, lengths)
     q_key = tuple(sorted(Q.elements))
     qp_key = tuple(sorted(Qp.elements))
     split = any(q_key in o and qp_key not in o for o in orbits)
-    checks.append(check("Q and Q' represent distinct classes", True, split, l=level))
+    rep.check("Q and Q' represent distinct classes", True, split)
 
     # (f) N_R(Q) = <Q, x^(2^(l-1))>
     NQ = normalizer(R, Q)
     x_half = R.power(x, 2 ** (level - 1))
     NQ_expected = FiniteGroup.generate(mat, list(Q.generators) + [x_half],
                                        cap=R.order + 1)
-    checks.append(check("N_R(Q) = <Q, x^(2^(l-1))>", True,
-                        set(NQ.elements) == set(NQ_expected.elements), l=level))
+    rep.check("N_R(Q) = <Q, x^(2^(l-1))>", True, set(NQ.elements) == set(NQ_expected.elements))
     NQp = normalizer(R, Qp)
     NQp_expected = FiniteGroup.generate(mat, list(Qp.generators) + [x_half],
                                         cap=R.order + 1)
-    checks.append(check("N_R(Q') = <Q', x^(2^(l-1))>", True,
-                        set(NQp.elements) == set(NQp_expected.elements), l=level))
+    rep.check("N_R(Q') = <Q', x^(2^(l-1))>", True, set(NQp.elements) == set(NQp_expected.elements))
 
     # conjugation by c swaps the two subgroup classes
     c_conj = tuple(sorted(mat.mul(mat.mul(mat.inv(c), e), c) for e in Q.elements))
     q_class = next(o for o in orbits if q_key in o)
     qp_class = next(o for o in orbits if qp_key in o)
-    checks.append(check("c fuses the two classes", True,
-                        c_conj in qp_class and q_key in q_class, l=level))
+    rep.check("c fuses the two classes", True, c_conj in qp_class and q_key in q_class)
 
-    return {"command": "verify-quaternion", "l": level, "checks": checks,
-            "elapsed_s": round(time.monotonic() - t0, 3)}
+    return rep.done()
 
 
 # ---------------------------------------------------------------------------
@@ -275,56 +282,47 @@ def verify_quaternion_lemma(level: int) -> dict:
 def verify_torus_sequence(level: int) -> dict:
     """Torus structure, the quotient type of S/T, the rank sequence, and the
     uniqueness searches (exhaustive at l = 0, skipped with a flag at l = 1)."""
-    t0 = time.monotonic()
+    rep = _Report("verify-torus", level)
     model = build_sol_model(level)
     S, T = model.sylow, model.torus
     action = model.action
-    checks = []
     skipped = []
 
-    checks.append(check("|S| = 2^(10+3l)", 2 ** (10 + 3 * level), S.order, l=level))
-    checks.append(check("|T| = (2^(l+2))^3", (2 ** (level + 2)) ** 3, T.order, l=level))
-    checks.append(check("T normal in S", True, is_normal(S, T), l=level))
-    checks.append(check("T homocyclic of rank 3",
-                        (2 ** (level + 2),) * 3, abelian_invariants(T), l=level))
+    rep.check("|S| = 2^(10+3l)", 2 ** (10 + 3 * level), S.order)
+    rep.check("|T| = (2^(l+2))^3", (2 ** (level + 2)) ** 3, T.order)
+    rep.check("T normal in S", True, is_normal(S, T))
+    rep.check("T homocyclic of rank 3", (2 ** (level + 2),) * 3, abelian_invariants(T))
 
     quotient = quotient_group(S, T)
     target = named_group("x(C2,D8)")
-    checks.append(check("S/T order", 16, quotient.order, l=level))
-    checks.append(check("S/T is C2 x D8", "isomorphism-verified",
-                        identify(quotient, target), l=level))
+    rep.check("S/T order", 16, quotient.order)
+    rep.check("S/T is C2 x D8", "isomorphism-verified", identify(quotient, target))
 
     inverted = all(action.mul(model.d, action.mul(t, model.d)) == action.inv(t)
                    for t in T.elements)
-    checks.append(check("d inverts T elementwise", True, inverted, l=level))
+    rep.check("d inverts T elementwise", True, inverted)
 
-    checks.append(check("|Z| = 2", 2, model.z_group.order, l=level))
-    checks.append(check("Z = Z(S)", True,
-                        set(center(S).elements) == set(model.z_group.elements), l=level))
-    checks.append(check("|U| = 4", 4, model.u_group.order, l=level))
-    checks.append(check("|E| = 8, E = Omega_1(T)", 8, model.e_group.order, l=level))
-    checks.append(check("E elementary rank 3", (2, 2, 2),
-                        abelian_invariants(model.e_group), l=level))
-    checks.append(check("|A| = 16", 16, model.a_group.order, l=level))
-    checks.append(check("A elementary rank 4", (2, 2, 2, 2),
-                        abelian_invariants(model.a_group), l=level))
-    checks.append(check("U normal in S", True, is_normal(S, model.u_group), l=level))
+    rep.check("|Z| = 2", 2, model.z_group.order)
+    rep.check("Z = Z(S)", True, set(center(S).elements) == set(model.z_group.elements))
+    rep.check("|U| = 4", 4, model.u_group.order)
+    rep.check("|E| = 8, E = Omega_1(T)", 8, model.e_group.order)
+    rep.check("E elementary rank 3", (2, 2, 2), abelian_invariants(model.e_group))
+    rep.check("|A| = 16", 16, model.a_group.order)
+    rep.check("A elementary rank 4", (2, 2, 2, 2), abelian_invariants(model.a_group))
+    rep.check("U normal in S", True, is_normal(S, model.u_group))
     chain = (model.z_group.is_subgroup_of(model.u_group)
              and model.u_group.is_subgroup_of(model.e_group)
              and model.e_group.is_subgroup_of(model.a_group))
-    checks.append(check("Z < U < E < A", True, chain, l=level))
+    rep.check("Z < U < E < A", True, chain)
 
     if level == 0:
-        checks.append(check("unique normal four subgroup", 1,
-                            _count_normal_four_subgroups(S), l=level))
-        checks.append(check("unique homocyclic C4^3 subgroup", 1,
-                            _count_c4_cubed(S), l=level))
+        rep.check("unique normal four subgroup", 1, _count_normal_four_subgroups(S))
+        rep.check("unique homocyclic C4^3 subgroup", 1, _count_c4_cubed(S))
     else:
         skipped.append("uniqueness searches (normal four subgroup, homocyclic "
                        "rank-3 subgroup) are exhaustive at l = 0 only")
 
-    return {"command": "verify-torus", "l": level, "checks": checks,
-            "skipped": skipped, "elapsed_s": round(time.monotonic() - t0, 3)}
+    return rep.done(skipped=skipped)
 
 
 def _count_normal_four_subgroups(S: FiniteGroup) -> int:
@@ -389,27 +387,23 @@ def sectional_rank_certificate() -> dict:
     """Pin s(S) = 6 at l = 0: a rank-6 elementary abelian section from the
     Frattini quotient of R0, and the bound s(T) + s(S/T) = 3 + 3 from an
     exhaustive scan of the order-16 quotient."""
-    t0 = time.monotonic()
+    rep = _Report("sectional-rank", 0)
     model = build_sol_model(0)
-    checks = []
 
     frat_quot = _frattini_quotient(model.r0)
-    checks.append(check("R0 Frattini quotient rank", (2,) * 6,
-                        abelian_invariants(frat_quot), l=0))
+    rep.check("R0 Frattini quotient rank", (2,) * 6, abelian_invariants(frat_quot))
     lower = len(abelian_invariants(frat_quot))
 
     t_rank = sum(1 for dk in abelian_invariants(model.torus) if dk % 2 == 0)
-    checks.append(check("s(T) = 3", 3, t_rank, l=0))
+    rep.check("s(T) = 3", 3, t_rank)
 
     quotient = quotient_group(model.sylow, model.torus)
     qs_rank = _sectional_rank_exhaustive(quotient)
-    checks.append(check("s(S/T) = 3 (exhaustive)", 3, qs_rank, l=0))
+    rep.check("s(S/T) = 3 (exhaustive)", 3, qs_rank)
 
     upper = t_rank + qs_rank
-    checks.append(check("6 <= s(S) <= 6", (6, 6), (lower, upper), l=0))
-    return {"command": "sectional-rank", "l": 0, "checks": checks,
-            "lower": lower, "upper": upper,
-            "elapsed_s": round(time.monotonic() - t0, 3)}
+    rep.check("6 <= s(S) <= 6", (6, 6), (lower, upper))
+    return rep.done(lower=lower, upper=upper)
 
 
 def _frattini_quotient(P: FiniteGroup) -> FiniteGroup:
@@ -469,32 +463,29 @@ def verify_k_radicals_l0() -> dict:
     the closed-form |K|.  Every other normalizer lives inside N_K(Q) because
     the intersection with L0 of each candidate subgroup equals Q.
     """
-    t0 = time.monotonic()
+    rep = _Report("verify-k-radicals", 0)
     model = build_sol_model(0)
     action = model.action
-    checks = []
 
-    checks.append(check("|K| closed form", 10_368_000, model.k_order, l=0))
+    rep.check("|K| closed form", 10_368_000, model.k_order)
 
     # N_K(Q) from explicit generators
-    nk_q_gens = [_embed(action, tuple(g), i)
-                 for i in range(3) for g in model.sl2_normalizer_gens]
-    nk_q_gens += [_diag(action, model.c), model.d, model.tau, model.rho]
+    nk_q_gens = _slotwise(action, model.sl2_normalizer_gens,
+                          [action.make(model.c, model.c, model.c), model.d, model.tau, model.rho])
     nk_q = FiniteGroup.generate(action, nk_q_gens, cap=100_000, name="N_K(Q)")
-    checks.append(check("|N_K(Q)| from explicit generators", 82944, nk_q.order, l=0))
+    rep.check("|N_K(Q)| from explicit generators", 82944, nk_q.order)
 
     cert = subgroup_orbit(action, model.k_generators, model.r0,
                           cap=1000, ambient_order=model.k_order)
-    checks.append(check("orbit of Q under K", 125, cert.orbit_size, l=0))
-    checks.append(check("|N_K(Q)| by orbit-stabilizer", 82944,
-                        cert.normalizer_order, l=0))
+    rep.check("orbit of Q under K", 125, cert.orbit_size)
+    rep.check("|N_K(Q)| by orbit-stabilizer", 82944, cert.normalizer_order)
 
     # per-factor cross-check: orbit of Q8 inside SL_2(5)
     sl2 = sl2_group(0)
     factor_cert = subgroup_orbit(sl2.action, sl2.generators, quaternion_frame(0).q8,
                                  ambient_order=sl2.order)
-    checks.append(check("per-factor orbit in SL2(5)", (5, 24),
-                        (factor_cert.orbit_size, factor_cert.normalizer_order), l=0))
+    rep.check("per-factor orbit in SL2(5)", (5, 24),
+              (factor_cert.orbit_size, factor_cert.normalizer_order))
 
     rows = [
         ("S", model.sylow, 1, "1"),
@@ -509,8 +500,7 @@ def verify_k_radicals_l0() -> dict:
 
     # C_S(U) really is the centralizer of U in S
     csu_scan = centralizer_of_subgroup(model.sylow, model.u_group)
-    checks.append(check("C_S(U) = Q<d>", True,
-                        set(csu_scan.elements) == set(rows[4][1].elements), l=0))
+    rep.check("C_S(U) = Q<d>", True, set(csu_scan.elements) == set(rows[4][1].elements))
 
     out_orders = {}
     for label, P, expected_order, zoo_target in rows:
@@ -518,20 +508,16 @@ def verify_k_radicals_l0() -> dict:
         N = nk_q if P is model.r0 else normalizer(nk_q, P)
         out = induced_outer(N.generators, P, action=action)
         out_orders[label] = out.order
-        checks.append(check(f"|Out_K({label})|", expected_order, out.order, l=0))
-        target = named_group(zoo_target)
-        checks.append(check(f"Out_K({label}) type",
-                            "isomorphism-verified" if expected_order <= 400 else
-                            "fingerprint-verified",
-                            identify(out, target), l=0))
+        rep.check(f"|Out_K({label})|", expected_order, out.order)
+        tier = ("isomorphism-verified" if expected_order <= ISO_SEARCH_LIMIT
+                else "fingerprint-verified")
+        rep.check(f"Out_K({label}) type", tier, identify(out, named_group(zoo_target)))
         if label == "Q":
             c_in_n = centralizer_of_subgroup(N, P).order
-            checks.append(check("|C_N(Q)| = |Z(Q)| = 4", 4, c_in_n, l=0))
-            checks.append(check("|Aut_K(Q)| = 324 * 64", 20736, N.order // c_in_n, l=0))
+            rep.check("|C_N(Q)| = |Z(Q)| = 4", 4, c_in_n)
+            rep.check("|Aut_K(Q)| = 324 * 64", 20736, N.order // c_in_n)
 
-    return {"command": "verify-k-radicals", "l": 0, "checks": checks,
-            "out_orders": out_orders,
-            "elapsed_s": round(time.monotonic() - t0, 3)}
+    return rep.done(out_orders=out_orders)
 
 
 # ---------------------------------------------------------------------------
@@ -551,85 +537,73 @@ def spotcheck_l1() -> dict:
     extension satisfies the residual chain conditions yet has a normal
     2-subgroup of order 2 in its outer automorphism group.
     """
-    t0 = time.monotonic()
+    rep = _Report("spotcheck", 1)
     model = build_sol_model(1)
     action = model.action
     mat = model.mat_action
-    checks = []
 
-    checks.append(check("|S| = 2^13", 8192, model.sylow.order, l=1))
+    rep.check("|S| = 2^13", 8192, model.sylow.order)
 
     # (iii) per-factor certification in SL_2(25)
     sl2 = sl2_group(1)
     cert = subgroup_orbit(sl2.action, sl2.generators, quaternion_frame(1).q8,
                           cap=1000, ambient_order=sl2.order)
-    checks.append(check("orbit of Q8 under SL2(25)", 325, cert.orbit_size, l=1))
-    checks.append(check("|N_SL2(25)(Q8)| by orbit", 48, cert.normalizer_order, l=1))
+    rep.check("orbit of Q8 under SL2(25)", 325, cert.orbit_size)
+    rep.check("|N_SL2(25)(Q8)| by orbit", 48, cert.normalizer_order)
     nq8 = FiniteGroup.generate(sl2.action, model.sl2_normalizer_gens, cap=64)
-    checks.append(check("|N_SL2(25)(Q8)| by scan", 48, nq8.order, l=1))
+    rep.check("|N_SL2(25)(Q8)| by scan", 48, nq8.order)
     involutions = sum(1 for e in nq8.elements if nq8.element_order(e) == 2)
-    checks.append(check("normalizer has a unique involution", 1, involutions, l=1))
+    rep.check("normalizer has a unique involution", 1, involutions)
 
     # (i) Out_K(Q1 Q2 Q3) from the product normalizer
     p0 = FiniteGroup.generate(
         action, [g for Q in model.factor_q for g in Q.generators],
         cap=300, name="Q1Q2Q3")
-    checks.append(check("|Q1Q2Q3| = 2^8", 256, p0.order, l=1))
+    rep.check("|Q1Q2Q3| = 2^8", 256, p0.order)
     # generators of N_K(Q1Q2Q3), for (i) and for the container of (iv)
-    n_gens = [_embed(action, tuple(g), i)
-              for i in range(3) for g in model.sl2_normalizer_gens]
-    n_gens += [model.tau, model.rho]
+    n_gens = _slotwise(action, model.sl2_normalizer_gens, [model.tau, model.rho])
     out = induced_outer(n_gens, p0, action=action)
-    checks.append(check("|Out_K(Q1Q2Q3)| = 1296", 1296, out.order, l=1))
+    rep.check("|Out_K(Q1Q2Q3)| = 1296", 1296, out.order)
     target = named_group("wr(S3,S3)")
-    checks.append(check("Out_K(Q1Q2Q3) fingerprint", "fingerprint-verified",
-                        identify(out, target), l=1))
+    rep.check("Out_K(Q1Q2Q3) fingerprint", "fingerprint-verified", identify(out, target))
 
     # (ii) Out_K(C_S(U)) via the enumerated normalizer of R0
     csu = FiniteGroup.generate(action, list(model.r0.generators) + [model.d],
                                cap=5000, name="C_S(U)")
-    checks.append(check("|C_S(U)| = 2^12", 4096, csu.order, l=1))
-    n_r0 = FiniteGroup.generate(
-        action,
-        list(model.r0.generators) + [_diag(action, model.c), model.tau, model.rho],
-        cap=50_000, name="N_K(R0)")
-    checks.append(check("|N_K(R0)| container", 24576, n_r0.order, l=1))
+    rep.check("|C_S(U)| = 2^12", 4096, csu.order)
+    n_r0_gens = _slotwise(action, [model.x, model.y],
+                          [action.make(model.c, model.c, model.c), model.tau, model.rho])
+    n_r0 = FiniteGroup.generate(action, n_r0_gens, cap=50_000, name="N_K(R0)")
+    rep.check("|N_K(R0)| container", 24576, n_r0.order)
     n_csu = normalizer(n_r0, csu)
     out_csu = induced_outer(n_csu.generators, csu, action=action)
-    checks.append(check("|Out_K(C_S(U))| = 6", 6, out_csu.order, l=1))
-    checks.append(check("Out_K(C_S(U)) type", "isomorphism-verified",
-                        identify(out_csu, named_group("S3")), l=1))
+    rep.check("|Out_K(C_S(U))| = 6", 6, out_csu.order)
+    rep.check("Out_K(C_S(U)) type", "isomorphism-verified", identify(out_csu, named_group("S3")))
 
     # (iv) the non-radical witness P = Q1 Q2 Q3 <s>, s = [x, 1, 1] tau
     s = action.mul(_embed(action, model.x, 0), model.tau)
     s2 = action.mul(s, s)
-    checks.append(check("s^2 = [x, x, 1]",
-                        action.matrices(action.make(model.x, model.x, mat.identity)),
-                        action.matrices(s2), l=1))
+    rep.check("s^2 = [x, x, 1]", action.matrices(action.make(model.x, model.x, mat.identity)),
+              action.matrices(s2))
     P = FiniteGroup.generate(action, list(p0.generators) + [s], cap=2048,
                              name="Q1Q2Q3<s>")
-    checks.append(check("|P| = 1024, P/P0 cyclic of order 4", (1024, 4),
-                        (P.order, P.order // p0.order), l=1))
+    rep.check("|P| = 1024, P/P0 cyclic of order 4", (1024, 4), (P.order, P.order // p0.order))
 
     # container chain: P meet L0 has a unique index-2 subgroup of the
     # central-product type, namely P0, so normalizers of P normalize P0
     p_plus = FiniteGroup.generate(action, list(p0.generators) + [s2], cap=1024)
-    checks.append(check("|P meet L0| = 512", 512, p_plus.order, l=1))
+    rep.check("|P meet L0| = 512", 512, p_plus.order)
     p0_like = _index2_subgroups_matching(p_plus, p0)
-    checks.append(check("P0 characteristic in P meet L0", 1, p0_like, l=1))
+    rep.check("P0 characteristic in P meet L0", 1, p0_like)
 
     m_container = FiniteGroup.generate(action, n_gens, cap=400_000, name="N_K(Q1Q2Q3)")
-    checks.append(check("|N_K(Q1Q2Q3)| = 48^3/2 * 6", 331776,
-                        m_container.order, l=1))
+    rep.check("|N_K(Q1Q2Q3)| = 48^3/2 * 6", 331776, m_container.order)
     n_p = normalizer(m_container, P)
     out_p = induced_outer(n_p.generators, P, action=action)
     o2 = two_core(out_p)
-    checks.append(check("witness |O_2(Out_K(P))| = 2 (not radical)", 2,
-                        o2.order, l=1))
+    rep.check("witness |O_2(Out_K(P))| = 2 (not radical)", 2, o2.order)
 
-    return {"command": "spotcheck", "l": 1, "checks": checks,
-            "out_order_witness": out_p.order,
-            "elapsed_s": round(time.monotonic() - t0, 3)}
+    return rep.done(out_order_witness=out_p.order)
 
 
 def _index2_subgroups_matching(big: FiniteGroup, reference: FiniteGroup) -> int:

@@ -733,11 +733,11 @@ def sylow3_of_wreath(_model):
 
 def q_row_l0(model):
     # the explicit generators of N_K(Q), as in verify_k_radicals_l0
-    from solweights.solmodel import _diag, _embed
+    from solweights.solmodel import _slotwise
 
     act = model.action
-    n_gens = [_embed(act, tuple(g), i) for i in range(3) for g in model.sl2_normalizer_gens]
-    n_gens += [_diag(act, model.c), model.d, model.tau, model.rho]
+    n_gens = _slotwise(act, model.sl2_normalizer_gens,
+                       [act.make(model.c, model.c, model.c), model.d, model.tau, model.rho])
     return n_gens, model.r0, act
 
 

@@ -85,6 +85,26 @@ def test_model_and_reports_are_memoized(sol0, sol1, torus_report_l0, torus_repor
         assert solmodel.verify_quaternion_lemma(level) is report
 
 
+@pytest.mark.parametrize("fixture,command,extra", [
+    ("quaternion_reports", "verify-quaternion", set()),
+    ("torus_report_l0", "verify-torus", {"skipped"}),
+    ("torus_report_l1", "verify-torus", {"skipped"}),
+    ("sectional_report", "sectional-rank", {"lower", "upper"}),
+    ("radicals_report_l0", "verify-k-radicals", {"out_orders"}),
+    ("spotcheck_report_l1", "spotcheck", {"out_order_witness"}),
+])
+def test_report_keys_and_check_levels(request, fixture, command, extra):
+    value = request.getfixturevalue(fixture)
+    reports = value.values() if fixture == "quaternion_reports" else [value]
+    for report in reports:
+        assert report["command"] == command
+        assert set(report) == {"command", "l", "checks", "elapsed_s"} | extra
+        assert report["checks"]
+        for record in report["checks"]:
+            assert list(record) == ["check", "l", "expected", "computed", "pass"]
+            assert record["l"] == report["l"]
+
+
 def test_d_is_involution_commuting_with_tau(sol0):
     act = sol0.action
     assert act.mul(sol0.d, sol0.d) == act.identity
