@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -96,7 +97,12 @@ class PermAction:
         self.identity: Element = tuple(range(n))
 
     def mul(self, a: Element, b: Element) -> Element:
-        return tuple(map(a.__getitem__, b))
+        # one C-level gather.  itemgetter returns a bare entry for one index
+        # and raises for none, so degrees 0 and 1 return the identity, the
+        # only permutation there
+        if self.n < 2:
+            return self.identity
+        return itemgetter(*b)(a)
 
     def inv(self, a: Element) -> Element:
         out = [0] * self.n
@@ -898,38 +904,32 @@ def isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
     gens = _greedy_generators(G)
     if not gens:
         return True
-    g_orders = [G.element_order(g) for g in gens]
-    g_class_sizes = []
     table_g = class_index_table(G)
     classes_g = conjugacy_classes(G)
-    for g in gens:
-        g_class_sizes.append(classes_g[table_g[G.index[g]]].size)
+    g_keys = [(G.element_order(g), classes_g[table_g[G.index[g]]].size) for g in gens]
     classes_h = conjugacy_classes(H)
     table_h = class_index_table(H)
-    h_orders = [H.element_order(e) for e in H.elements]
-
-    def candidates(k: int) -> list[Element]:
-        if k == 0:
-            return [c.rep for c in classes_h
-                    if H.element_order(c.rep) == g_orders[0] and c.size == g_class_sizes[0]]
-        return [e for i, e in enumerate(H.elements)
-                if h_orders[i] == g_orders[k]
-                and classes_h[table_h[i]].size == g_class_sizes[k]]
-
+    h_keys = [(H.element_order(e), classes_h[table_h[i]].size)
+              for i, e in enumerate(H.elements)]
+    # per level, computed once: the images with the generator's element order
+    # and class size, and the order of the word gens[k-1] * gens[k]
+    levels = [[c.rep for c in classes_h if h_keys[H.index[c.rep]] == g_keys[0]]]
+    levels += [[e for e, key in zip(H.elements, h_keys) if key == g_keys[k]]
+               for k in range(1, len(gens))]
+    word_orders = [0] + [G.element_order(G.action.mul(gens[k - 1], gens[k]))
+                         for k in range(1, len(gens))]
+    hmul = H.action.mul
     images: list[Element] = []
 
     def backtrack(k: int) -> bool:
         if k == len(gens):
             return _extend_iso(G, H, gens, images)
-        for cand in candidates(k):
-            images.append(cand)
+        for cand in levels[k]:
             # quick partial check: orders of short words must match
-            ok = True
-            if k:
-                word = G.action.mul(gens[k - 1], gens[k])
-                fword = H.action.mul(images[k - 1], images[k])
-                ok = G.element_order(word) == H.element_order(fword)
-            if ok and backtrack(k + 1):
+            if k and H.element_order(hmul(images[k - 1], cand)) != word_orders[k]:
+                continue
+            images.append(cand)
+            if backtrack(k + 1):
                 return True
             images.pop()
         return False

@@ -36,6 +36,7 @@ from solweights.groups import (
 from solweights.zoo import (
     alternating_group,
     cyclic_group,
+    direct_product,
     named_group,
     symmetric_group,
 )
@@ -133,6 +134,32 @@ def check_arithmetic(act, elements, ref_mul, ref_inv, rng, pairs, view=lambda x:
         assert view(act.inv(a)) == ref_inv(f, view(a))
         assert act.mul(act.mul(a, b), c) == act.mul(a, act.mul(b, c))
         assert act.mul(a, act.inv(a)) == act.identity
+
+
+def check_perm_mul(n, a, b):
+    got = PermAction(n).mul(a, b)
+    assert type(got) is tuple
+    assert got == tuple(a[i] for i in b)
+
+
+@st.composite
+def perm_pairs(draw):
+    n = draw(st.integers(0, 40))
+    return n, tuple(draw(st.permutations(range(n)))), tuple(draw(st.permutations(range(n))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(perm_pairs())
+def test_perm_mul_matches_reference(case):
+    check_perm_mul(*case)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 256, 1296])
+def test_perm_mul_matches_reference_fixed_degrees(n):
+    # 256 and 1,296 are the point counts of Out_K(Q) and Out_K(Q1Q2Q3)
+    rng = random.Random(n)
+    for _ in range(20):
+        check_perm_mul(n, tuple(rng.sample(range(n), n)), tuple(rng.sample(range(n), n)))
 
 
 @pytest.mark.parametrize("level", [0, 1])
@@ -583,7 +610,22 @@ def test_trivial_intersection_constant_on_cosets():
 
 def test_quotient_by_self_trivial():
     G = symmetric_group(4)
-    assert quotient_group(G, G).order == 1
+    Q = quotient_group(G, G)
+    assert Q.order == 1
+    # Q keeps one identity generator per generator of G, and its derived
+    # subgroup and fingerprint multiply them on one point
+    assert Q.generators == ((0,),) * len(G.generators)
+    assert derived_subgroup(Q).elements == [(0,)]
+    assert fingerprint(Q) == fingerprint(named_group("1"))
+
+
+def test_degree_one_group_with_identity_generator():
+    G = FiniteGroup.generate(PermAction(1), [(0,)])
+    assert G.generators == ((0,),)
+    assert derived_subgroup(G).elements == [(0,)]
+    fp = fingerprint(G)
+    assert (fp.order, fp.class_sizes, fp.center_order) == (1, (1,), 1)
+    assert (fp.derived_orders, fp.abelian_invariants, fp.exponent) == ((1,), (), 1)
 
 
 def test_quotient_not_normal():
@@ -650,19 +692,43 @@ def test_identify_builds_each_fingerprint_once(monkeypatch, spec, verdict):
     assert len(calls) <= 2
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.randoms(use_true_random=False))
-def test_fingerprint_relabeling_invariance(rnd):
-    """Conjugating all generators by a random permutation fixes the print."""
-    G = named_group("wr(S3,C2)")
+def relabelled(G, rnd):
+    """G with its points renamed by a random permutation."""
     n = G.action.n
     relabel = list(range(n))
     rnd.shuffle(relabel)
     relabel = tuple(relabel)
     inv = G.action.inv(relabel)
     gens = [G.action.mul(G.action.mul(inv, g), relabel) for g in G.generators]
-    H = FiniteGroup.generate(G.action, gens)
-    assert fingerprint(H) == fingerprint(G)
+    return FiniteGroup.generate(G.action, gens)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_fingerprint_relabeling_invariance(rnd):
+    """Conjugating all generators by a random permutation fixes the print."""
+    G = named_group("wr(S3,C2)")
+    assert fingerprint(relabelled(G, rnd)) == fingerprint(G)
+
+
+def test_isomorphic_m324_relabelled():
+    G = named_group("m324")
+    H = relabelled(G, random.Random(324))
+    assert H.elements != G.elements
+    assert isomorphic(H, G)
+
+
+def test_isomorphic_rejects_equal_fingerprints():
+    # Q8 x C2 and D8 x C2 share every fingerprint field, so only the
+    # backtrack search tells them apart
+    q8 = named_group("quat(8)")
+    regular = FiniteGroup.generate(
+        PermAction(8), [tuple(q8.index[q8.mul(x, g)] for x in q8.elements) for g in q8.generators])
+    G = direct_product(regular, cyclic_group(2))
+    H = named_group("x(D8,C2)")
+    assert fingerprint(G) == fingerprint(H)
+    assert not isomorphic(G, H)
+    assert not isomorphic(H, G)
 
 
 # -- induced outer automorphisms --------------------------------------------------------
