@@ -10,8 +10,9 @@ p-subgroup P:
   copy of the dual module plus the exterior square of the dual; the answer
   is the common fixed space under the induced action.
 * Sylow C3 wr C3, normal: the wreath decomposition splits H^2 into base
-  invariants, a middle term that vanishes by explicit cocycle count, and the
-  quotient's H^2; the outer action is then applied to each summand.
+  invariants, a middle term that vanishes when its cocycle and coboundary
+  spaces have equal dimension, and the quotient's H^2; the outer action is then applied
+  to each summand.
 * A three-term spectral argument and a direct-product additivity rule
   handle the remaining composite groups.
 
@@ -23,11 +24,13 @@ p^dim.
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import asdict, dataclass, field
 
 from .errors import Inconclusive, UnsupportedSylow, WrongSylowShape
 from .groups import (
     FiniteGroup,
+    _commutes_with,
     _greedy_generators,
     _prime_factors,
     abelian_invariants,
@@ -37,14 +40,16 @@ from .groups import (
     quotient_group,
     sylow_subgroup,
 )
-from .linalg import det, exterior_square, fixed_space, identity, mat_vec, rref, transpose
-
-PATHS = (
-    "cyclic-sylow-vanishing",
-    "elementary-abelian-invariants",
-    "wreath-nakaoka",
-    "three-term-vanishing",
-    "kunneth",
+from .linalg import (
+    det,
+    exterior_square,
+    fixed_space,
+    identity,
+    mat_mul,
+    nullspace,
+    rank,
+    rref,
+    transpose,
 )
 
 
@@ -124,15 +129,11 @@ def action_matrices(G: FiniteGroup, P: FiniteGroup, p: int,
         acting = list(N.generators)
     mats = []
     for g in acting:
-        cols = []
-        for b in basis:
-            img = G.conj(b, g)
-            vec = logs.get(img)
-            if vec is None:
-                raise RuntimeError("conjugation does not preserve the subgroup")
-            cols.append(vec)
         # columns are images of basis vectors
-        mats.append([[cols[j][i] for j in range(len(basis))] for i in range(len(basis))])
+        cols = [logs.get(G.conj(b, g)) for b in basis]
+        if None in cols:
+            raise RuntimeError("conjugation does not preserve the subgroup")
+        mats.append(transpose(cols))
     return mats, basis
 
 
@@ -152,15 +153,8 @@ def h2_module_matrices(p: int, mats: list[list[list[int]]], rank: int):
     for m in mats:
         dual = _dual(p, m)
         lam = exterior_square(p, dual, rank)
-        n1, n2 = rank, len(lam)
-        block = [[0] * (n1 + n2) for _ in range(n1 + n2)]
-        for i in range(n1):
-            for j in range(n1):
-                block[i][j] = dual[i][j]
-        for i in range(n2):
-            for j in range(n2):
-                block[n1 + i][n1 + j] = lam[i][j]
-        blocks.append(block)
+        blocks.append([row + [0] * len(lam) for row in dual]
+                      + [[0] * rank + row for row in lam])
     return blocks
 
 
@@ -196,11 +190,8 @@ def h2_abelian_sylow(G: FiniteGroup, p: int, basis: list[tuple] | None = None,
         # cyclic case: automorphism t -> t^k acts on H^1 and H^2 by k
         N = normalizer(G, P)
         gen = P.generators[0] if P.generators else P.identity
-        ks = set()
-        for g in N.generators:
-            img = G.conj(gen, g)
-            k = _power_exponent(P, gen, img)
-            ks.add(k % p)
+        ks = {_coset_exponent(P, {P.identity}, gen, G.conj(gen, g)) % p
+              for g in N.generators}
         dim = 1 if all(k == 1 for k in ks) else 0
         cert = H2Certificate(gname, p, dim, "cyclic-sylow-vanishing",
                              notes=[f"normalizer power exponents mod {p}: {sorted(ks)}"])
@@ -229,18 +220,17 @@ def h2_abelian_sylow(G: FiniteGroup, p: int, basis: list[tuple] | None = None,
 
 
 def _is_abelian(P: FiniteGroup) -> bool:
-    mul = P.action.mul
-    gens = P.generators
-    return all(mul(a, b) == mul(b, a) for a in gens for b in gens)
+    return all(map(_commutes_with(P, P.generators), P.generators))
 
 
-def _power_exponent(P: FiniteGroup, gen: tuple, img: tuple) -> int:
-    acc = P.identity
-    for k in range(P.order):
-        if acc == img:
+def _coset_exponent(G: FiniteGroup, N: Container[tuple], g: tuple, x: tuple) -> int:
+    """The least k >= 0 with x in N g^k, for N given by its elements."""
+    acc = G.identity
+    for k in range(G.order):
+        if G.mul(x, G.inv(acc)) in N:
             return k
-        acc = P.action.mul(acc, gen)
-    raise RuntimeError("image is not a power of the generator")
+        acc = G.mul(acc, g)
+    raise RuntimeError("element lies in no coset N g^k")
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +243,10 @@ def h2_wreath_c3(G: FiniteGroup, name: str | None = None) -> H2Certificate:
 
     The decomposition of H^2(W) has three summands: invariants of the base
     rotation on H^2(base), a middle term H^1(C3, H^1(base)) that is checked
-    to vanish by exhaustive 1-cocycle enumeration, and H^2 of the rotation
-    quotient.  Fixed points of the outer 2-group action are then taken;
-    on the quotient summand an outer element acting on the rotation by
-    t -> t^k acts by k.
+    to vanish by comparing dim ker(1 + rho + rho^2) with rank(rho - 1), and
+    H^2 of the rotation quotient.  Fixed points of the outer 2-group action
+    are then taken; on the quotient summand an outer element acting on the
+    rotation by t -> t^k acts by k.
     """
     p = 3
     gname = name or G.name or "group"
@@ -278,35 +268,22 @@ def h2_wreath_c3(G: FiniteGroup, name: str | None = None) -> H2Certificate:
     blocks = h2_module_matrices(p, mats, rank=3)
     fixed_a = fixed_space(p, blocks, 6)
 
-    # middle term: H^1(C3, H^1(base)) by cocycle enumeration over f(rho);
-    # a 1-cocycle is determined by its value on rho, subject to the norm
-    # condition, and coboundaries are the image of rho - 1
-    rho_dual = _dual(p, mats[0])
-    cocycles = 0
-    coboundaries = set()
-    vectors = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
-    for v in vectors:
-        total = list(v)
-        acc = list(v)
-        for _ in range(2):
-            acc = mat_vec(3, rho_dual, acc)
-            total = [(total[i] + acc[i]) % 3 for i in range(3)]
-        if all(t == 0 for t in total):
-            cocycles += 1
-    for v in vectors:
-        img = mat_vec(3, rho_dual, list(v))
-        coboundaries.add(tuple((img[i] - v[i]) % 3 for i in range(3)))
-    if cocycles != len(coboundaries):
+    # middle term: H^1(C3, H^1(base)); a 1-cocycle is determined by its value
+    # on rho, which must lie in the kernel of the norm 1 + rho + rho^2, and
+    # coboundaries are the image of rho - 1
+    r = _dual(p, mats[0])
+    r2 = mat_mul(p, r, r)
+    eye = identity(3)
+    norm = [[(eye[i][j] + r[i][j] + r2[i][j]) % p for j in range(3)] for i in range(3)]
+    diff = [[(r[i][j] - eye[i][j]) % p for j in range(3)] for i in range(3)]
+    cocycles, coboundaries = p ** len(nullspace(p, norm)), p ** rank(p, diff)
+    if cocycles != coboundaries:
         raise Inconclusive("middle wreath term does not vanish")
     middle_dim = 0
 
     # quotient summand H^2(C3): outer element acts by its power exponent on
     # the rotation coset
-    ks = []
-    for g in outer:
-        img = G.conj(rho, g)
-        k = _rotation_exponent(W, base, rho, img)
-        ks.append(k % 3)
+    ks = [_coset_exponent(W, base.index, rho, G.conj(rho, g)) % 3 for g in outer]
     quotient_dim = 1 if all(k == 1 for k in ks) else 0
 
     dim = len(fixed_a) + middle_dim + quotient_dim
@@ -315,7 +292,7 @@ def h2_wreath_c3(G: FiniteGroup, name: str | None = None) -> H2Certificate:
                          basis_labels=_h2_basis_labels(3))
     cert.notes.append(f"summands: base-invariants {len(fixed_a)}, middle {middle_dim}, "
                       f"quotient {quotient_dim}")
-    cert.notes.append(f"middle-term cocycles {cocycles}, coboundaries {len(coboundaries)}")
+    cert.notes.append(f"middle-term cocycles {cocycles}, coboundaries {coboundaries}")
     cert.notes.append(f"outer rotation exponents: {ks}")
     return cert
 
@@ -341,17 +318,6 @@ def _wreath_base(G: FiniteGroup, W: FiniteGroup) -> FiniteGroup | None:
             if all(base.element_order(x) in (1, 3) for x in base.elements):
                 return base
     return None
-
-
-def _rotation_exponent(W: FiniteGroup, base: FiniteGroup, rho: tuple, img: tuple) -> int:
-    """k with img in base * rho^k."""
-    acc = W.identity
-    for k in range(3):
-        # test img * acc^-1 * ... : img in base . rho^k  <=>  img * (rho^k)^-1 in base
-        if W.mul(img, W.inv(acc)) in base.index:
-            return k
-        acc = W.mul(acc, rho)
-    raise RuntimeError("image does not lie in the rotation cosets")
 
 
 # ---------------------------------------------------------------------------
@@ -412,11 +378,11 @@ def h2_dim(G: FiniteGroup, p: int, name: str | None = None) -> H2Certificate:
     gname = name or G.name or "group"
     if p < 3 or _prime_factors(p) != [p]:
         raise UnsupportedSylow(f"p must be an odd prime, got {p}")
-    P = sylow_subgroup(G, p)
-    if P.order == 1 or (_is_abelian(P) and (len(abelian_invariants(P)) == 1
-                                            or (P.exponent() == p and P.order in (p * p, p ** 3)))):
+    try:
         return h2_abelian_sylow(G, p, name=gname)
-    if p == 3 and P.order == 81:
+    except UnsupportedSylow:
+        pass
+    if p == 3 and sylow_subgroup(G, p).order == 81:
         try:
             return h2_wreath_c3(G, name=gname)
         except WrongSylowShape:
@@ -462,11 +428,5 @@ def odd_h2_kx(G: FiniteGroup, name: str | None = None) -> KxCertificate:
                     f"cannot bound the exponent of the {p}-part for {gname}")
             factors.append((p, cert.dim))
         parts[p] = cert
-    if not factors:
-        conclusion = "0"
-    else:
-        pieces = []
-        for p, d in factors:
-            pieces.extend([f"C{p}"] * d)
-        conclusion = " x ".join(pieces)
+    conclusion = " x ".join(f"C{p}" for p, d in factors for _ in range(d)) or "0"
     return KxCertificate(group=gname, parts=parts, conclusion=conclusion)

@@ -49,9 +49,6 @@ def mat_mul(p: int, a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
                     acc[j] = (acc[j] + coeff * bk[j]) % p
     return out
 
-def mat_vec(p: int, a: list[list[int]], v: list[int]) -> list[int]:
-    return [sum(r[j] * v[j] for j in range(len(v))) % p for r in a]
-
 
 def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]

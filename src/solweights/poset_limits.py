@@ -17,6 +17,7 @@ the full data is available.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .errors import CyclicInput, MissingCertificate, NotAFunctor
 from .groups import FiniteGroup, cached_per_cap, normalizer, sylow_subgroup
@@ -34,6 +35,10 @@ class ChainPoset:
     def all_chains(self) -> list[Chain]:
         return [c for group in self.chains_by_length for c in group]
 
+    def chains(self, n: int) -> list[Chain]:
+        """The chains of length n (none beyond the longest)."""
+        return self.chains_by_length[n] if n < len(self.chains_by_length) else []
+
 
 def build_chain_poset(labels: list[str], cover_edges: list[tuple[str, str]],
                       max_length: int | None = None) -> ChainPoset:
@@ -43,22 +48,19 @@ def build_chain_poset(labels: list[str], cover_edges: list[tuple[str, str]],
         if low not in adjacency or high not in adjacency:
             raise CyclicInput(f"edge endpoint not among labels: {low}->{high}")
         adjacency[low].add(high)
-    # transitive closure by repeated expansion; a cycle would put a label
-    # below itself
-    less: dict[str, set[str]] = {lab: set(adjacency[lab]) for lab in labels}
-    changed = True
-    while changed:
-        changed = False
-        for lab in labels:
-            new = set()
-            for upper in less[lab]:
-                new |= less[upper]
-            if not new <= less[lab]:
-                less[lab] |= new
-                changed = True
+    # the labels above lab are those reachable from its covers; a cycle would
+    # put a label above itself
+    less: dict[str, set[str]] = {}
     for lab in labels:
-        if lab in less[lab]:
+        above, stack = set(), list(adjacency[lab])
+        while stack:
+            upper = stack.pop()
+            if upper not in above:
+                above.add(upper)
+                stack.extend(adjacency[upper])
+        if lab in above:
             raise CyclicInput(f"cover relation has a cycle through {lab}")
+        less[lab] = above
     chains_by_length: list[list[Chain]] = [[(lab,) for lab in labels]]
     while True:
         if max_length is not None and len(chains_by_length) > max_length:
@@ -104,30 +106,21 @@ class ChainFunctor:
                 f"face map {face} -> {chain} required but not supplied") from None
 
     def validate(self):
-        """Functoriality: double-face composites into each 2-chain agree."""
-        for chain in self.poset.chains_by_length[2] if len(self.poset.chains_by_length) > 2 else []:
-            for i in range(3):
-                for j in range(3):
-                    if i == j:
-                        continue
-                    # remove index i first or j first, composing into `chain`
-                    face_i = chain[:i] + chain[i + 1:]
-                    face_j = chain[:j] + chain[j + 1:]
-                    jj = j - 1 if j > i else j
-                    ii = i - 1 if i > j else i
-                    double_i = face_i[:jj] + face_i[jj + 1:] if len(face_i) > 1 else face_i
-                    double_j = face_j[:ii] + face_j[ii + 1:] if len(face_j) > 1 else face_j
-                    if double_i != double_j:
-                        continue
-                    if self.dim(double_i) == 0 or self.dim(chain) == 0:
-                        continue
-                    via_i = mat_mul(self.p, self.face_map(face_i, chain),
-                                    self.face_map(double_i, face_i))
-                    via_j = mat_mul(self.p, self.face_map(face_j, chain),
-                                    self.face_map(double_j, face_j))
-                    if via_i != via_j:
-                        raise NotAFunctor(
-                            f"composites into {chain} disagree from {double_i}")
+        """Functoriality: for each 2-chain and each class x in it, the two
+        composites from (x,) through the 1-chains that contain x agree.
+        Classes are tried from the top of the chain down."""
+        for chain in self.poset.chains(2):
+            if self.dim(chain) == 0:
+                continue
+            for k in (2, 1, 0):
+                x = chain[k:k + 1]
+                if self.dim(x) == 0:
+                    continue
+                faces = [chain[:i] + chain[i + 1:] for i in range(3) if i != k]
+                via = [mat_mul(self.p, self.face_map(face, chain), self.face_map(x, face))
+                       for face in faces]
+                if via[0] != via[1]:
+                    raise NotAFunctor(f"composites into {chain} disagree from {x}")
 
 
 def constant_functor(poset: ChainPoset, p: int, dim: int = 1) -> ChainFunctor:
@@ -145,19 +138,9 @@ def constant_functor(poset: ChainPoset, p: int, dim: int = 1) -> ChainFunctor:
 
 def coboundary_matrix(F: ChainFunctor, n: int) -> list[list[int]]:
     """delta^n : C^n -> C^(n+1), alternating sum of face maps."""
-    poset = F.poset
-    source = poset.chains_by_length[n] if n < len(poset.chains_by_length) else []
-    target = poset.chains_by_length[n + 1] if n + 1 < len(poset.chains_by_length) else []
-    src_offsets = {}
-    total_src = 0
-    for c in source:
-        src_offsets[c] = total_src
-        total_src += F.dim(c)
-    tgt_offsets = {}
-    total_tgt = 0
-    for c in target:
-        tgt_offsets[c] = total_tgt
-        total_tgt += F.dim(c)
+    target = F.poset.chains(n + 1)
+    src_offsets, total_src = _offsets(F, F.poset.chains(n))
+    tgt_offsets, total_tgt = _offsets(F, target)
     matrix = [[0] * total_src for _ in range(total_tgt)]
     for chain in target:
         rows = F.dim(chain)
@@ -178,14 +161,16 @@ def coboundary_matrix(F: ChainFunctor, n: int) -> list[list[int]]:
     return matrix
 
 
+def _offsets(F: ChainFunctor, chains: list[Chain]) -> tuple[dict[Chain, int], int]:
+    """Where each chain's block starts in the cochain space, and its dimension."""
+    starts = list(accumulate((F.dim(c) for c in chains), initial=0))
+    return dict(zip(chains, starts)), starts[-1]
+
+
 def cochain_cohomology(F: ChainFunctor, max_degree: int) -> list[int]:
     """Dimensions of H^0 .. H^max_degree, checking delta.delta = 0."""
     F.validate()
     deltas = [coboundary_matrix(F, n) for n in range(max_degree + 1)]
-    dims_c = []
-    for n in range(max_degree + 1):
-        chains = F.poset.chains_by_length[n] if n < len(F.poset.chains_by_length) else []
-        dims_c.append(sum(F.dim(c) for c in chains))
     # composite check
     for n in range(max_degree):
         a, b = deltas[n], deltas[n + 1]
@@ -193,14 +178,9 @@ def cochain_cohomology(F: ChainFunctor, max_degree: int) -> list[int]:
             comp = mat_mul(F.p, b, a)
             if any(any(x % F.p for x in row) for row in comp):
                 raise NotAFunctor(f"delta^{n + 1} . delta^{n} != 0")
-    out = []
-    for n in range(max_degree + 1):
-        rank_n = rank(F.p, deltas[n]) if deltas[n] and deltas[n][0] else 0
-        rank_prev = (rank(F.p, deltas[n - 1])
-                     if n > 0 and deltas[n - 1] and deltas[n - 1][0] else 0)
-        kernel = dims_c[n] - rank_n
-        out.append(kernel - rank_prev)
-    return out
+    dims_c = [sum(F.dim(c) for c in F.poset.chains(n)) for n in range(max_degree + 1)]
+    ranks = [rank(F.p, d) for d in deltas]
+    return [dims_c[n] - ranks[n] - (ranks[n - 1] if n else 0) for n in range(max_degree + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +229,7 @@ def vanishing_criteria(F: ChainFunctor) -> str | None:
 
 def lim_dimension(F: ChainFunctor) -> int:
     """dim of the limit (degree-zero cohomology) by direct kernel rank."""
-    delta0 = coboundary_matrix(F, 0)
-    dim_c0 = sum(F.dim(c) for c in F.poset.chains_by_length[0])
-    if not delta0 or not delta0[0]:
-        return dim_c0
-    return dim_c0 - rank(F.p, delta0)
+    return sum(F.dim(c) for c in F.poset.chains(0)) - rank(F.p, coboundary_matrix(F, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,6 @@ class RobinsonData:
     group: FiniteGroup
     sylow: FiniteGroup
     classes: list[ConjClass]                 # defect-zero classes, Y
-    y0_size: int                             # |Y_0|, elements of defect zero
-    coset_reps: list[tuple]                  # canonical double-coset reps
     coset_defect_zero: list[list[tuple]]     # defect-zero elements per coset
     x_reps: list[tuple]                      # chosen f(D) per coset, X
     raw_counts: list[list[int]]              # |y_i^G meet x_j S| before mod 2
@@ -87,22 +85,17 @@ def robinson_matrix(G: FiniteGroup, sylow: FiniteGroup | None = None) -> Robinso
     class_table = class_index_table(G)
     dz_rows = _defect_zero_rows(G)
 
-    coset_reps: list[tuple] = []
     coset_dz: list[list[tuple]] = []
-    y0_size = 0
     for x, members in double_cosets(G, S):
         dz_members = sorted(j for j in members if class_table[j] in dz_rows)
-        y0_size += len(dz_members)
         # trivial intersection is constant on the double coset
         if dz_members and trivial_intersection(G, S, x):
-            coset_reps.append(x)
             coset_dz.append([G.elements[j] for j in dz_members])
 
     x_reps = [members[0] for members in coset_dz]
     raw, rows = _counts(G, S, x_reps)
     return RobinsonData(
-        group=G, sylow=S, classes=defect_zero_classes(G), y0_size=y0_size,
-        coset_reps=coset_reps, coset_defect_zero=coset_dz,
+        group=G, sylow=S, classes=defect_zero_classes(G), coset_defect_zero=coset_dz,
         x_reps=x_reps, raw_counts=raw, matrix_rows=rows,
     )
 

@@ -3,7 +3,7 @@
 Every registry group is a permutation group (GL_n(2) via its action on
 nonzero vectors), so the uniform fast path applies.  Groups carry ``marks``
 pointing at distinguished elements or subgroup generators that later modules
-need (direct-product factors, wreath base/top, the canonical rank-3 basis of
+need (direct-product factors, the wreath base, the canonical rank-3 basis of
 the 3-torsion in the order-108/324 semidirect products, and so on).
 
 Spec grammar understood by :func:`named_group`:
@@ -125,7 +125,6 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, name: str | None = None) -> F
             [_shift(g, 0, n + m) for g in G.generators],
             [_shift(h, n, n + m) for h in H.generators],
         ],
-        "factor_names": [G.name, H.name],
     }
     P = FiniteGroup.generate(act, gens, name=name, marks=marks)
     if P.order != G.order * H.order:
@@ -139,28 +138,15 @@ def wreath_product(base: FiniteGroup, top: FiniteGroup, name: str | None = None)
     k = top.action.n
     total = m * k
     act = PermAction(total)
-    gens = []
-    base_gens_by_block = []
-    for block in range(k):
-        block_gens = [_shift(g, block * m, total) for g in base.generators]
-        base_gens_by_block.append(block_gens)
-        gens.extend(block_gens)
-    top_gens = []
+    base_gens = [_shift(g, block * m, total) for block in range(k) for g in base.generators]
+    gens = list(base_gens)
     for t in top.generators:
         images = list(range(total))
         for block in range(k):
             for i in range(m):
                 images[block * m + i] = t[block] * m + i
-        top_gens.append(tuple(images))
-    gens.extend(top_gens)
-    marks = {
-        "base_gens": [g for block in base_gens_by_block for g in block],
-        "base_gens_by_block": base_gens_by_block,
-        "top_gens": top_gens,
-        "blocks": k,
-        "block_size": m,
-    }
-    W = FiniteGroup.generate(act, gens, name=name, marks=marks)
+        gens.append(tuple(images))
+    W = FiniteGroup.generate(act, gens, name=name, marks={"base_gens": base_gens})
     if W.order != base.order ** k * top.order:
         raise RuntimeError("wreath product order mismatch")
     return W

@@ -1,7 +1,12 @@
+import itertools
+
 import pytest
 
 from solweights.errors import Inconclusive, UnsupportedSylow
 from solweights.cohomology import (
+    _dual,
+    _wreath_base,
+    action_matrices,
     h2_abelian_sylow,
     h2_dim,
     h2_kunneth,
@@ -103,6 +108,29 @@ def test_wreath_middle_term_vanishes():
     assert cert.dim == 0
 
 
+@pytest.mark.parametrize("spec", ["m324", "wr(C3,C3)"])
+def test_wreath_middle_counts_match_enumeration(spec):
+    """The ranks in the certificate agree with listing all 27 values f(rho):
+    1-cocycles satisfy the norm condition (1 + rho + rho^2) f = 0, and the
+    coboundaries are the vectors (rho - 1) v."""
+    G = named_group(spec)
+    W = sylow_subgroup(G, 3)
+    base = _wreath_base(G, W)
+    rho = next(e for e in W.elements if e not in base.index)
+    mats, _ = action_matrices(G, base, 3, basis=base.marks.get("v_basis"), acting=[rho])
+    r = _dual(3, mats[0])
+
+    def act(v):
+        return tuple(sum(r[i][j] * v[j] for j in range(3)) % 3 for i in range(3))
+
+    vectors = list(itertools.product(range(3), repeat=3))
+    cocycles = sum(1 for v in vectors
+                   if all((a + b + c) % 3 == 0 for a, b, c in zip(v, act(v), act(act(v)))))
+    coboundaries = len({tuple((a - b) % 3 for a, b in zip(act(v), v)) for v in vectors})
+    cert = h2_wreath_c3(G, name=spec)
+    assert cert.notes[1] == f"middle-term cocycles {cocycles}, coboundaries {coboundaries}"
+
+
 def test_wreath_wrong_shape():
     from solweights.errors import WrongSylowShape
 
@@ -133,6 +161,15 @@ def test_three_term_inconclusive_on_nonzero_base():
     sylow = sylow_subgroup(G, 3)
     with pytest.raises(Inconclusive):
         three_term_vanishing(G, sylow, 3)
+
+
+@pytest.mark.parametrize("spec", ["x(C3,x(C3,x(C3,C3)))", "x(C9,C3)", "x(C9,C9)"])
+def test_abelian_sylow_outside_both_paths_is_inconclusive(spec):
+    """Abelian Sylow 3-subgroups that are neither cyclic nor elementary
+    abelian of rank <= 3 fall through every path to the Kunneth rule, whose
+    factors are not 3-perfect."""
+    with pytest.raises(Inconclusive, match="not p-perfect"):
+        h2_dim(named_group(spec), 3)
 
 
 def test_kunneth_consistency():

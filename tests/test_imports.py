@@ -1,4 +1,5 @@
-"""Every import in the package is used, and every function is referenced."""
+"""Every import in the package is used, and every function, module-level
+constant and class is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -64,17 +65,54 @@ UNREFERENCED_OK = {"bound_check", "choice_invariance", "constant_functor", "cycl
                    "two_complement_shortcut", "centralizer"}
 
 
-def test_every_function_is_referenced():
-    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
-    defined = {node.name for tree in trees for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
-    referenced = set()
+def package_trees() -> list[ast.Module]:
+    return [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+
+
+def read_names(trees: list[ast.Module]) -> set[str]:
+    """Every name some module reads: loaded names, attributes and imports."""
+    read = set()
     for tree in trees:
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
             elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+                read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
-                referenced.update(alias.name for alias in node.names)
-    assert sorted(defined - referenced - UNREFERENCED_OK) == []
+                read.update(alias.name for alias in node.names)
+    return read
+
+
+def module_functions(tree: ast.Module) -> set[str]:
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def module_constants_and_classes(tree: ast.Module) -> set[str]:
+    """Classes and assigned names at module level, dunder names excepted."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {name for name in names if not (name.startswith("__") and name.endswith("__"))}
+
+
+def test_every_function_is_referenced():
+    trees = package_trees()
+    defined = set().union(*map(module_functions, trees))
+    assert sorted(defined - read_names(trees) - UNREFERENCED_OK) == []
+
+
+def test_every_module_constant_and_class_is_read():
+    trees = package_trees()
+    defined = set().union(*map(module_constants_and_classes, trees))
+    assert sorted(defined - read_names(trees) - UNREFERENCED_OK) == []
+
+
+def test_unreferenced_allowlist_is_current():
+    trees = package_trees()
+    defined = set().union(*map(module_functions, trees), *map(module_constants_and_classes, trees))
+    assert sorted(UNREFERENCED_OK - defined) == []

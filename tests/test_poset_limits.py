@@ -33,6 +33,26 @@ def test_cyclic_input_rejected():
         build_chain_poset(["a", "b"], [("a", "b"), ("b", "a")])
 
 
+def test_three_cycle_rejected():
+    with pytest.raises(CyclicInput, match="cycle through a"):
+        build_chain_poset(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
+
+
+@pytest.mark.parametrize("tag", ["l0", "lpos"])
+def test_order_is_reachability(tag):
+    """``less`` is the transitive closure of the covers (Warshall)."""
+    diagram = load_hasse(tag)
+    labels = [n for n, _ in diagram.nodes]
+    reach = {lab: set() for lab in labels}
+    for low, high in diagram.edges:
+        reach[low].add(high)
+    for mid in labels:
+        for lab in labels:
+            if mid in reach[lab]:
+                reach[lab] |= reach[mid]
+    assert build_chain_poset(labels, diagram.edges).less == reach
+
+
 def test_every_class_is_a_singleton_chain():
     diagram = load_hasse("l0")
     poset = build_chain_poset([n for n, _ in diagram.nodes], diagram.edges)
@@ -79,22 +99,28 @@ def test_missing_face_map_detected():
         coboundary_matrix(F, 0)
 
 
-def test_functoriality_violation_detected():
+def _line_functor(broken: tuple, zero: tuple = ()) -> ChainFunctor:
+    """The constant functor on a < b < c with the face map ``broken`` scaled
+    by 2 and the chains in ``zero`` set to dimension zero."""
     poset = build_chain_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
-    eye = [[1]]
-    two = [[2]]
-    values = {c: 1 for c in poset.all_chains()}
-    maps = {}
-    for chain in poset.all_chains():
-        if len(chain) == 1:
-            continue
-        for i in range(len(chain)):
-            maps[(chain[:i] + chain[i + 1:], chain)] = eye
-    maps[(("a",), ("a", "b", "c"))] = eye
-    maps[(("a",), ("a", "b"))] = two  # breaks the square via ("a","b")
-    F = ChainFunctor(p=3, poset=poset, values=values, face_maps=maps)
-    with pytest.raises(NotAFunctor):
+    F = constant_functor(poset, 3)
+    F.face_maps[broken] = [[2]]
+    for chain in zero:
+        F.values[chain] = 0
+    return F
+
+
+@pytest.mark.parametrize("x,face", [("a", ("a", "b")), ("b", ("b", "c")), ("c", ("a", "c"))],
+                         ids=["a", "b", "c"])
+def test_functoriality_violation_detected(x, face):
+    F = _line_functor(((x,), face))
+    with pytest.raises(NotAFunctor, match=rf"disagree from \('{x}',\)"):
         F.validate()
+
+
+def test_functoriality_skips_zero_dimensional_class():
+    F = _line_functor((("a",), ("a", "b")), zero=(("a",),))
+    F.validate()
 
 
 def test_criterion_b_toy():
