@@ -31,11 +31,13 @@ from .errors import Inconclusive, UnsupportedSylow, WrongSylowShape
 from .groups import (
     FiniteGroup,
     _commutes_with,
+    _discrete_log_table,
     _greedy_generators,
     _prime_factors,
     abelian_invariants,
     abelianization,
     is_normal,
+    maximal_subgroups,
     normalizer,
     quotient_group,
     sylow_subgroup,
@@ -95,26 +97,6 @@ def is_p_perfect(G: FiniteGroup, p: int) -> bool:
 # ---------------------------------------------------------------------------
 # module data for an abelian Sylow subgroup
 # ---------------------------------------------------------------------------
-
-
-def _discrete_log_table(P: FiniteGroup, basis: list[tuple], p: int) -> dict[tuple, tuple]:
-    """Map each element of P to its exponent vector over the basis."""
-    table = {}
-    rank = len(basis)
-
-    def rec(i: int, acc, vec):
-        if i == rank:
-            table[acc] = tuple(vec)
-            return
-        current = acc
-        for e in range(p):
-            rec(i + 1, current, vec + [e])
-            current = P.action.mul(current, basis[i])
-
-    rec(0, P.identity, [])
-    if len(table) != P.order:
-        raise RuntimeError("basis does not span the elementary abelian group")
-    return table
 
 
 def action_matrices(G: FiniteGroup, P: FiniteGroup, p: int,
@@ -258,13 +240,12 @@ def h2_wreath_c3(G: FiniteGroup, name: str | None = None) -> H2Certificate:
     base = _wreath_base(G, W)
     if base is None:
         raise WrongSylowShape("no elementary abelian rank-3 base of index 3 found")
-    basis = base.marks.get("v_basis") or _greedy_generators(base)
     rho = next(e for e in W.elements if e not in base.index)
     # outer generator transversal: generators of G modulo W, as elements
     outer = [g for g in G.generators if g not in W.index]
 
     acting = [rho] + outer
-    mats, basis = action_matrices(G, base, p, basis=basis, acting=acting)
+    mats, _ = action_matrices(G, base, p, basis=base.marks.get("v_basis"), acting=acting)
     blocks = h2_module_matrices(p, mats, rank=3)
     fixed_a = fixed_space(p, blocks, 6)
 
@@ -298,26 +279,20 @@ def h2_wreath_c3(G: FiniteGroup, name: str | None = None) -> H2Certificate:
 
 
 def _wreath_base(G: FiniteGroup, W: FiniteGroup) -> FiniteGroup | None:
-    """The elementary abelian rank-3 subgroup of index 3 in W (the base)."""
+    """The elementary abelian rank-3 subgroup of index 3 in W (the base):
+    spanned by G's ``v_basis`` mark when that gives order 27, else the
+    elementary abelian member of W's maximal subgroups.  An abelian W, such
+    as C3^4, is no wreath product and has no base."""
     marks = G.marks.get("v_basis")
     if marks:
-        base = FiniteGroup.generate(W.action, list(marks), cap=28)
+        base = FiniteGroup.generate(W.action, list(marks), cap=28,
+                                    marks={"v_basis": list(marks)})
         if base.order == 27:
-            base.marks["v_basis"] = list(marks)
             return base
-    # search: order-27 abelian subgroups of W of exponent 3
-    for e in W.elements:
-        if W.element_order(e) != 3:
-            continue
-        members = [x for x in W.elements
-                   if W.element_order(x) in (1, 3) and W.mul(x, e) == W.mul(e, x)]
-        candidate = [x for x in members
-                     if all(W.mul(x, y) == W.mul(y, x) for y in members)]
-        if len(candidate) == 27:
-            base = FiniteGroup.from_elements(W.action, candidate)
-            if all(base.element_order(x) in (1, 3) for x in base.elements):
-                return base
-    return None
+    if _is_abelian(W):
+        return None
+    return next((M for M in maximal_subgroups(W) if _is_abelian(M) and M.exponent() == 3),
+                None)
 
 
 # ---------------------------------------------------------------------------

@@ -24,15 +24,16 @@ identity, deterministic in the generator order) and structural data derived
 from it.  A ``FiniteGroup`` is append-only: its elements, generators and
 marks are fixed at construction, and its one memo ``_memo`` gains an entry
 per ``cached_per_group`` call (classes with their index table, center,
-derived subgroup, Sylow subgroups, normalizers and the fingerprint) on first
-use, never changed after and freed with the group.  Every operation here is
-a function of its inputs alone, so a shared memoized group gives the same
-results whichever caller fills its memo first.
+derived and Frattini subgroups, Sylow subgroups, normalizers and the
+fingerprint) on first use, never changed after and freed with the group.
+Every operation here is a function of its inputs alone, so a shared
+memoized group gives the same results whichever caller fills its memo first.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
@@ -796,6 +797,82 @@ def two_core(G: FiniteGroup) -> FiniteGroup:
         if candidate.order == _p_part(candidate.order, 2):
             gens = list(candidate.generators)
     return _normal_closure(G, gens)
+
+
+# ---------------------------------------------------------------------------
+# subgroups of p-groups
+# ---------------------------------------------------------------------------
+
+
+def _p_group_prime(P: FiniteGroup) -> int:
+    """The prime p with |P| a power of p (2 for the trivial group)."""
+    primes = _prime_factors(P.order)
+    if len(primes) > 1:
+        raise ValueError(f"{P!r} is not a p-group")
+    return primes[0] if primes else 2
+
+
+def _discrete_log_table(P: FiniteGroup, basis: list[tuple], p: int) -> dict[tuple, tuple]:
+    """Map each element of the elementary abelian p-group P to its exponent
+    vector over the basis."""
+    table = {functools.reduce(P.action.mul, map(P.power, basis, vec), P.identity): vec
+             for vec in itertools.product(range(p), repeat=len(basis))}
+    if len(table) != P.order:
+        raise RuntimeError("basis does not span the elementary abelian group")
+    return table
+
+
+@cached_per_group
+def frattini_subgroup(P: FiniteGroup) -> FiniteGroup:
+    """Phi(P) = P' P^p for a p-group P, generated by the derived subgroup and
+    the p-th powers of P's generators: modulo P' the p-th power map is a
+    homomorphism, so those powers give every p-th power."""
+    p = _p_group_prime(P)
+    gens = list(derived_subgroup(P).generators) + [P.power(g, p) for g in P.generators]
+    return FiniteGroup.generate(P.action, gens, cap=P.order + 1)
+
+
+def maximal_subgroups(P: FiniteGroup) -> list[FiniteGroup]:
+    """The maximal subgroups of a p-group P, as the preimages of the
+    hyperplanes of P/Phi(P).
+
+    Phi(P) is the intersection of the maximal subgroups, each of index p,
+    and P/Phi(P) is elementary abelian, so the maximal subgroups are the
+    preimages of the index-p subgroups of the vector space F_p^d = P/Phi(P):
+    the kernels of the nonzero linear forms, one per line of forms (first
+    nonzero coefficient 1, in lexicographic order).  Raises ValueError when
+    P is not a p-group.
+    """
+    p = _p_group_prime(P)
+    F = quotient_group(P, frattini_subgroup(P))
+    basis = _greedy_generators(F)
+    logs = _discrete_log_table(F, basis, p)
+    # F acts regularly on the cosets: the element of the coset Phi g sends
+    # Phi, coset 0, to Phi g
+    coords = {x[0]: v for x, v in logs.items()}
+    vectors = [coords[c] for c in F.marks["coset_of"]]
+    out = []
+    for form in itertools.product(range(p), repeat=len(basis)):
+        if next(filter(None, form), 0) != 1:
+            continue
+        members = [g for g, v in zip(P.elements, vectors)
+                   if not sum(a * b for a, b in zip(form, v)) % p]
+        out.append(FiniteGroup.from_elements(P.action, members))
+    return out
+
+
+def subgroups(P: FiniteGroup) -> list[FiniteGroup]:
+    """Every subgroup of a p-group P, P first: each proper subgroup of a
+    p-group lies in a maximal one, so descending through maximal subgroups
+    from P reaches them all; each is kept once, by element set."""
+    seen = {frozenset(P.elements): P}
+    frontier = [P]
+    while frontier:
+        new = {key: M for H in frontier for M in maximal_subgroups(H)
+               if (key := frozenset(M.elements)) not in seen}
+        seen.update(new)
+        frontier = list(new.values())
+    return list(seen.values())
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,11 @@ def gram_gf2(rows: list[int]) -> list[int]:
 
 
 def mat_mul(p: int, a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    rows_a, inner, cols_b = len(a), len(b), len(b[0]) if b else 0
+    """a b over GF(p).  b needs a row to give the product its width, so an
+    inner dimension of 0 raises; the caller knows the zero product's shape."""
+    if not b:
+        raise ValueError("inner dimension 0: the product's width is not determined")
+    rows_a, inner, cols_b = len(a), len(b), len(b[0])
     out = [[0] * cols_b for _ in range(rows_a)]
     for i in range(rows_a):
         row = a[i]

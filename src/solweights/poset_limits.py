@@ -117,7 +117,9 @@ class ChainFunctor:
                 if self.dim(x) == 0:
                     continue
                 faces = [chain[:i] + chain[i + 1:] for i in range(3) if i != k]
+                # through a zero-dimensional face the composite is the zero map
                 via = [mat_mul(self.p, self.face_map(face, chain), self.face_map(x, face))
+                       if self.dim(face) else [[0] * self.dim(x) for _ in range(self.dim(chain))]
                        for face in faces]
                 if via[0] != via[1]:
                     raise NotAFunctor(f"composites into {chain} disagree from {x}")

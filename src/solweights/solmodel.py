@@ -27,7 +27,6 @@ import time
 from dataclasses import dataclass
 
 from .groups import (
-    ISO_SEARCH_LIMIT,
     CentralTripleAction,
     FiniteGroup,
     MatrixAction,
@@ -38,12 +37,16 @@ from .groups import (
     centralizer_of_subgroup,
     class_index_table,
     fingerprint,
+    frattini_subgroup,
     identify,
     induced_outer,
     is_normal,
+    maximal_subgroups,
     normalizer,
     quotient_group,
     subgroup_orbit,
+    subgroups,
+    sylow_subgroup,
     two_core,
 )
 from .util import check
@@ -167,30 +170,12 @@ def build_sol_model(level: int) -> SolModel:
 
 
 def _q8_subgroups(R: FiniteGroup) -> set[tuple]:
-    """The Q8 subgroups of R, each as its sorted element tuple.
-
-    Closes <a, b> for each unordered noncommuting pair with a^2 = b^2 and keeps
-    the closures of order 8 with a unique involution; Q8 is the only
-    nonabelian group of order 8 with one involution.
-    """
-    mat = R.action
-    elements = R.elements
-    squares = [mat.mul(a, a) for a in elements]
-    quats = set()
-    for i, a in enumerate(elements):
-        for j in range(i + 1, len(elements)):
-            # two noncommuting elements of Q8 both square to its involution
-            if squares[i] != squares[j]:
-                continue
-            b = elements[j]
-            if mat.mul(a, b) == mat.mul(b, a):
-                continue
-            H = FiniteGroup.generate(mat, [a, b], cap=R.order + 1)
-            if H.order == 8:
-                invol = sum(1 for e in H.elements if H.element_order(e) == 2)
-                if invol == 1:
-                    quats.add(tuple(sorted(H.elements)))
-    return quats
+    """The Q8 subgroups of the 2-group R, each as its sorted element tuple:
+    the subgroups of order 8 and exponent 4 with a unique involution (C8 is
+    the only other group of order 8 with one involution)."""
+    return {tuple(sorted(H.elements)) for H in subgroups(R)
+            if H.order == 8 and H.exponent() == 4
+            and sum(1 for e in H.elements if H.element_order(e) == 2) == 1}
 
 
 @cached_per_cap
@@ -385,12 +370,12 @@ def _count_c4_cubed(S: FiniteGroup) -> int:
 @cached_per_cap
 def sectional_rank_certificate() -> dict:
     """Pin s(S) = 6 at l = 0: a rank-6 elementary abelian section from the
-    Frattini quotient of R0, and the bound s(T) + s(S/T) = 3 + 3 from an
-    exhaustive scan of the order-16 quotient."""
+    Frattini quotient of R0, and the bound s(T) + s(S/T) = 3 + 3 from every
+    subgroup of the order-16 quotient."""
     rep = _Report("sectional-rank", 0)
     model = build_sol_model(0)
 
-    frat_quot = _frattini_quotient(model.r0)
+    frat_quot = quotient_group(model.r0, frattini_subgroup(model.r0))
     rep.check("R0 Frattini quotient rank", (2,) * 6, abelian_invariants(frat_quot))
     lower = len(abelian_invariants(frat_quot))
 
@@ -406,46 +391,25 @@ def sectional_rank_certificate() -> dict:
     return rep.done(lower=lower, upper=upper)
 
 
-def _frattini_quotient(P: FiniteGroup) -> FiniteGroup:
-    """P / Phi(P) for a 2-group P, where Phi(P) is generated by the squares."""
-    squares = {P.mul(e, e) for e in P.elements}
-    frattini = FiniteGroup.generate(P.action, sorted(squares), cap=P.order)
-    return quotient_group(P, frattini)
-
-
-def _all_subgroups(G: FiniteGroup) -> list[FiniteGroup]:
-    """All subgroups of a small group, by closing generator extensions."""
-    seen = {tuple([G.identity]): G.subgroup([])}
-    frontier = [G.subgroup([])]
-    while frontier:
-        new = []
-        for H in frontier:
-            for e in G.elements:
-                if e in H.index:
-                    continue
-                ext = G.subgroup(list(H.generators) + [e])
-                key = tuple(sorted(ext.elements))
-                if key not in seen:
-                    seen[key] = ext
-                    new.append(ext)
-        frontier = new
-    return list(seen.values())
-
-
 def _sectional_rank_exhaustive(G: FiniteGroup) -> int:
-    """Max rank of an elementary abelian 2-group quotient H/N over all
-    subgroups H and normal subgroups N of H; exhaustive, for small G.  H/N
-    is elementary abelian exactly when every element squares to 1, and its
-    rank is then log2 |H/N|."""
-    best = 0
-    for H in _all_subgroups(G):
-        for N in _all_subgroups(H):
-            if not is_normal(H, N):
-                continue
-            Q = quotient_group(H, N)
-            if all(Q.mul(e, e) == Q.identity for e in Q.elements):
-                best = max(best, Q.order.bit_length() - 1)
-    return best
+    """s(G), the largest rank of an elementary abelian 2-group section H/N
+    (N normal in H <= G), as the largest log2 |T : Phi(T)| over the
+    subgroups T of a Sylow 2-subgroup P of G.  Two facts make this
+    exhaustive:
+
+    * If T is a 2-group, N is normal in T and T/N is elementary abelian,
+      then Phi(T) <= N: T/N is abelian of exponent 2, so N holds every
+      commutator and every square, and Phi(T) = T' T^2.  And T/Phi(T) is
+      itself elementary abelian, so T's largest such quotient has rank
+      log2 |T : Phi(T)|.
+    * Every elementary abelian 2-section H/N is isomorphic to T/(T meet N)
+      for T a Sylow 2-subgroup of H: TN/N is a Sylow 2-subgroup of the
+      2-group H/N, so TN = H and H/N = TN/N = T/(T meet N).  T is conjugate
+      to a subgroup of P, and conjugation carries the section to an
+      isomorphic one.
+    """
+    return max((T.order // frattini_subgroup(T).order).bit_length() - 1
+               for T in subgroups(sylow_subgroup(G, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -509,9 +473,8 @@ def verify_k_radicals_l0() -> dict:
         out = induced_outer(N.generators, P, action=action)
         out_orders[label] = out.order
         rep.check(f"|Out_K({label})|", expected_order, out.order)
-        tier = ("isomorphism-verified" if expected_order <= ISO_SEARCH_LIMIT
-                else "fingerprint-verified")
-        rep.check(f"Out_K({label}) type", tier, identify(out, named_group(zoo_target)))
+        rep.check(f"Out_K({label}) type", "isomorphism-verified",
+                  identify(out, named_group(zoo_target)))
         if label == "Q":
             c_in_n = centralizer_of_subgroup(N, P).order
             rep.check("|C_N(Q)| = |Z(Q)| = 4", 4, c_in_n)
@@ -589,11 +552,11 @@ def spotcheck_l1() -> dict:
                              name="Q1Q2Q3<s>")
     rep.check("|P| = 1024, P/P0 cyclic of order 4", (1024, 4), (P.order, P.order // p0.order))
 
-    # container chain: P meet L0 has a unique index-2 subgroup of the
+    # container chain: P meet L0 has a unique maximal subgroup of the
     # central-product type, namely P0, so normalizers of P normalize P0
     p_plus = FiniteGroup.generate(action, list(p0.generators) + [s2], cap=1024)
     rep.check("|P meet L0| = 512", 512, p_plus.order)
-    p0_like = _index2_subgroups_matching(p_plus, p0)
+    p0_like = sum(fingerprint(M) == fingerprint(p0) for M in maximal_subgroups(p_plus))
     rep.check("P0 characteristic in P meet L0", 1, p0_like)
 
     m_container = FiniteGroup.generate(action, n_gens, cap=400_000, name="N_K(Q1Q2Q3)")
@@ -604,27 +567,3 @@ def spotcheck_l1() -> dict:
     rep.check("witness |O_2(Out_K(P))| = 2 (not radical)", 2, o2.order)
 
     return rep.done(out_order_witness=out_p.order)
-
-
-def _index2_subgroups_matching(big: FiniteGroup, reference: FiniteGroup) -> int:
-    """Number of index-2 subgroups of `big` with the fingerprint of
-    `reference` (1 means the reference is characteristic in `big`).
-
-    Index-2 subgroups contain the Frattini subgroup, so they are preimages
-    of the index-2 subgroups of the elementary abelian Frattini quotient.
-    """
-    quot = _frattini_quotient(big)
-    coset_of = quot.marks["coset_of"]
-    ref_print = fingerprint(reference)
-    count = 0
-    for H in _all_subgroups(quot):
-        if H.order * 2 != quot.order:
-            continue
-        # in the regular action a quotient element corresponds to the coset
-        # id it sends the identity coset to
-        member_ids = {e[0] for e in H.elements}
-        selected = [g for g, cid in zip(big.elements, coset_of) if cid in member_ids]
-        sub = FiniteGroup.from_elements(big.action, selected)
-        if fingerprint(sub) == ref_print:
-            count += 1
-    return count

@@ -22,13 +22,16 @@ from solweights.groups import (
     derived_subgroup,
     double_cosets,
     fingerprint,
+    frattini_subgroup,
     identify,
     induced_outer,
     isomorphic,
+    maximal_subgroups,
     normalizer,
     quotient_group,
     right_cosets,
     subgroup_orbit,
+    subgroups,
     sylow_subgroup,
     trivial_intersection,
     two_core,
@@ -847,3 +850,78 @@ def test_class_index_table_consistent():
     for i, e in enumerate(G.elements):
         for g in G.generators:
             assert table[G.index[G.conj(e, g)]] == table[i]
+
+
+# -- subgroups of p-groups ----------------------------------------------------------------
+
+
+def all_subgroups_reference(G):
+    """Every subgroup of G by a frontier walk: each subgroup found is extended
+    by each element outside it, and closures are kept once by element set."""
+    seen = {tuple([G.identity]): G.subgroup([])}
+    frontier = [G.subgroup([])]
+    while frontier:
+        new = []
+        for H in frontier:
+            for e in G.elements:
+                if e in H.index:
+                    continue
+                ext = G.subgroup(list(H.generators) + [e])
+                key = tuple(sorted(ext.elements))
+                if key not in seen:
+                    seen[key] = ext
+                    new.append(ext)
+        frontier = new
+    return list(seen.values())
+
+
+P_GROUPS = ["quat(8)", "D8", "D16", "quat(16)", "x(C2,D8)", "wr(C2,C2)", "x(C4,C4)",
+            "sylow3(wr(S3,S3))", "sylow3(m324)"]
+
+
+def p_group(case):
+    if case.startswith("sylow3("):
+        return sylow_subgroup(named_group(case[len("sylow3("):-1]), 3)
+    return named_group(case)
+
+
+def element_sets(groups_):
+    return [frozenset(H.elements) for H in groups_]
+
+
+@pytest.mark.parametrize("case", P_GROUPS)
+def test_subgroups_match_frontier_walk(case):
+    P = p_group(case)
+    found = element_sets(subgroups(P))
+    assert len(found) == len(set(found))  # each subgroup once
+    assert set(found) == set(element_sets(all_subgroups_reference(P)))
+    assert found[0] == frozenset(P.elements)
+
+
+@pytest.mark.parametrize("case", P_GROUPS)
+def test_maximal_subgroups_are_the_index_p_subgroups(case):
+    P = p_group(case)
+    p = 3 if P.order % 3 == 0 else 2
+    found = element_sets(maximal_subgroups(P))
+    assert len(found) == len(set(found))
+    assert set(found) == {frozenset(H.elements) for H in all_subgroups_reference(P)
+                          if H.order * p == P.order}
+
+
+@pytest.mark.parametrize("case", P_GROUPS)
+def test_frattini_subgroup_is_meet_of_maximal_subgroups(case):
+    P = p_group(case)
+    meet = frozenset.intersection(*element_sets(maximal_subgroups(P)))
+    assert set(frattini_subgroup(P).elements) == meet
+
+
+@pytest.mark.parametrize("fn", [frattini_subgroup, maximal_subgroups, subgroups])
+def test_subgroup_descent_rejects_non_p_groups(fn):
+    with pytest.raises(ValueError, match="not a p-group"):
+        fn(named_group("S4"))
+
+
+def test_trivial_group_has_one_subgroup():
+    P = named_group("1")
+    assert maximal_subgroups(P) == []
+    assert subgroups(P) == [P]

@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import pytest
+
 from solweights.linalg import (
     det,
     exterior_square,
@@ -99,3 +101,10 @@ def test_exterior_square_functorial():
         lhs = exterior_square(p, mat_mul(p, a, b), 3)
         rhs = mat_mul(p, exterior_square(p, a, 3), exterior_square(p, b, 3))
         assert lhs == rhs
+
+
+def test_mat_mul_inner_dimension_zero_raises():
+    # a 2 x 0 times a 0 x n matrix is the 2 x n zero matrix, but an empty b
+    # does not say n
+    with pytest.raises(ValueError, match="inner dimension 0"):
+        mat_mul(3, [[], []], [])

@@ -123,6 +123,17 @@ def test_functoriality_skips_zero_dimensional_class():
     F.validate()
 
 
+def test_functoriality_through_zero_dimensional_face():
+    """With F(a, b) = 0 the composite (b,) -> (a, b) -> (a, b, c) is the zero
+    1 x 1 map, and so is (b,) -> (b, c) -> (a, b, c) once (b,) -> (b, c) is 0."""
+    poset = build_chain_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    F = constant_functor(poset, 3)
+    F.values[("a", "b")] = 0
+    F.face_maps[(("a",), ("a", "c"))] = [[0]]
+    F.face_maps[(("b",), ("b", "c"))] = [[0]]
+    F.validate()
+
+
 def test_criterion_b_toy():
     poset = build_chain_poset(["Q", "R", "QR"], [("Q", "QR"), ("R", "QR")])
     eye = [[1]]
