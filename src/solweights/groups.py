@@ -17,7 +17,15 @@ multiplication, inversion and identity for one element kind:
 Matrix products index the field's ``mul_table``, ``add_table``,
 ``neg_table`` and ``inv_table`` directly, on every field; the field decides
 whether they are filled eagerly or on demand.  Triple products look slot
-codes up in the action's own memos, filled by matrix arithmetic on first use.
+codes up in the action's own memos, filled by matrix arithmetic on first use;
+the product memo is keyed by the right factor first.
+
+Besides ``mul``, each action has ``right_mul(g)``, the map x -> x g with
+everything that depends on g alone worked out once: the gather of g for
+permutations, g's multiplication rows for matrices, and for triples the
+product-memo columns of g's permuted slots.  Closure, Dimino steps, coset
+labelling, quotient generators and element orders multiply long runs of
+elements on the right by one fixed element, and go through it.
 
 Groups cache their full element enumeration (breadth-first closure from the
 identity, deterministic in the generator order) and structural data derived
@@ -105,6 +113,13 @@ class PermAction:
             return self.identity
         return itemgetter(*b)(a)
 
+    def right_mul(self, g: Element) -> Callable[[Element], Element]:
+        """x -> x g: the gather itself, called at C level."""
+        if self.n < 2:
+            identity = self.identity
+            return lambda x: identity
+        return itemgetter(*g)
+
     def inv(self, a: Element) -> Element:
         out = [0] * self.n
         for i, ai in enumerate(a):
@@ -136,6 +151,18 @@ class MatrixAction:
         e, g, h, i = y
         Ma, Mb, Mc, Md = M[a], M[b], M[c], M[d]
         return (A[Ma[e]][Mb[h]], A[Ma[g]][Mb[i]], A[Mc[e]][Md[h]], A[Mc[g]][Md[i]])
+
+    def right_mul(self, y: Element) -> Callable[[Element], Element]:
+        """x -> x y, with y's four multiplication rows fetched once (field
+        multiplication commutes, so M[e][a] = a e)."""
+        M, A = self.field.mul_table, self.field.add_table
+        Me, Mg, Mh, Mi = (M[v] for v in y)
+
+        def times(x: Element) -> Element:
+            a, b, c, d = x
+            return (A[Me[a]][Mh[b]], A[Mg[a]][Mi[b]], A[Me[c]][Mh[d]], A[Mg[c]][Mi[d]])
+
+        return times
 
     def inv(self, x: Element) -> Element:
         f = self.field
@@ -175,7 +202,11 @@ class CentralTripleAction:
     Products, negations, inverses and the sign rule (flip or not, by a
     matrix's first nonzero entry) of slot matrices are memoized by code and
     filled on first use, so once a group's few slot matrices are in, a
-    product is three table lookups and no matrix arithmetic.
+    product is three table lookups and no matrix arithmetic.  The product
+    memo is keyed by the right factor first (``_prod[b][a]`` is a b), so
+    ``right_mul(y)`` fetches, per slot permutation of the left factor, the
+    three columns of y's permuted slots once and then looks up only the
+    left factor's codes.
     """
 
     kind = "central-triple"
@@ -186,7 +217,7 @@ class CentralTripleAction:
         one = self._encode(self.mat.identity)
         self.identity: Element = (one, one, one, (0, 1, 2))
         dec, enc = self._decode, self._encode
-        self._prod = _Memo(lambda a: _Memo(lambda b: enc(self.mat.mul(dec(a), dec(b)))))
+        self._prod = _Memo(lambda b: _Memo(lambda a: enc(self.mat.mul(dec(a), dec(b)))))
         self._neg = _Memo(lambda c: enc(map(field.neg_table.__getitem__, dec(c))))
         self._inv = _Memo(lambda c: enc(self.mat.inv(dec(c))))
         self._flip = _Memo(self._flip_code)
@@ -236,8 +267,34 @@ class CentralTripleAction:
         permuted[p[1]] = y[1]
         permuted[p[2]] = y[2]
         P = self._prod
-        return self._canonical(P[a1][permuted[0]], P[a2][permuted[1]], P[a3][permuted[2]],
+        return self._canonical(P[permuted[0]][a1], P[permuted[1]][a2], P[permuted[2]][a3],
                                self._compose[p][y[3]])
+
+    def right_mul(self, y: Element) -> Callable[[Element], Element]:
+        """x -> x y.  Per slot permutation p of x, y's slots permuted by p
+        select three columns of the product memo and p composes with y's
+        permutation once; each is filled on the first x with that p."""
+        P, compose, flip, neg = self._prod, self._compose, self._flip, self._neg
+
+        def columns(p: Element) -> tuple:
+            permuted = [0, 0, 0]
+            permuted[p[0]] = y[0]
+            permuted[p[1]] = y[1]
+            permuted[p[2]] = y[2]
+            return (P[permuted[0]], P[permuted[1]], P[permuted[2]], compose[p][y[3]])
+
+        by_perm = _Memo(columns)
+
+        def times(x: Element) -> Element:
+            a1, a2, a3, p = x
+            P1, P2, P3, q = by_perm[p]
+            c1, c2, c3 = P1[a1], P2[a2], P3[a3]
+            # the sign rule of _canonical
+            if flip[c1 or c2 or c3]:
+                return (neg[c1], neg[c2], neg[c3], q)
+            return (c1, c2, c3, q)
+
+        return times
 
     def inv(self, x: Element) -> Element:
         a1, a2, a3, p = x
@@ -307,14 +364,10 @@ class FiniteGroup:
         identity = action.identity
         elements = [identity]
         index = {identity: 0}
-        mul = action.mul
-        gens = [g for g in generators if g != identity]
-        pos = 0
-        while pos < len(elements):
-            current = elements[pos]
-            pos += 1
-            for g in gens:
-                nxt = mul(current, g)
+        mults = [action.right_mul(g) for g in generators if g != identity]
+        for current in elements:  # elements grows during the walk
+            for times in mults:
+                nxt = times(current)
                 if nxt not in index:
                     index[nxt] = len(elements)
                     elements.append(nxt)
@@ -371,9 +424,9 @@ class FiniteGroup:
         order = 1
         acc = a
         identity = self.action.identity
-        mul = self.action.mul
+        times = self.action.right_mul(a)
         while acc != identity:
-            acc = mul(acc, a)
+            acc = times(acc)
             order += 1
         return order
 
@@ -415,22 +468,24 @@ def _greedy(action: Action, elements: Iterable[Element], cap: int) -> tuple[list
     walked and, whenever r s lies outside the set for a pick s, the whole
     coset H (r s) is new and is added at once.
     """
-    mul = action.mul
+    right_mul = action.right_mul
     gens: list[Element] = []
+    mults: list[Callable] = []
     closed = {action.identity}
     for e in elements:
         if e in closed:
             continue
         gens.append(e)
+        mults.append(right_mul(e))
         H = list(closed)
         reps = [action.identity]
         for r in reps:  # reps grows during the walk
-            for s in gens:
-                x = mul(r, s)
+            for times in mults:
+                x = times(r)
                 if x in closed:
                     continue
                 reps.append(x)
-                closed.update([mul(h, x) for h in H])
+                closed.update(map(right_mul(x), H))
                 if len(closed) > cap:
                     raise CapExceeded(f"closure exceeded cap {cap}")
     return gens, closed
@@ -509,13 +564,13 @@ def right_cosets(G: FiniteGroup, H: FiniteGroup) -> tuple[list[int], list[list[i
     enumeration order, and each coset's first index is that element.  Each
     element not yet labelled labels its coset H g (|H| products, |G| in all).
     """
-    index, mul = G.index, G.action.mul
+    index, right_mul = G.index, G.action.right_mul
     label = [-1] * G.order
     cosets: list[list[int]] = []
     for i, g in enumerate(G.elements):
         if label[i] < 0:
             number = len(cosets)
-            coset = [index[mul(h, g)] for h in H.elements]
+            coset = list(map(index.__getitem__, map(right_mul(g), H.elements)))
             for j in coset:
                 label[j] = number
             cosets.append(coset)
@@ -723,13 +778,14 @@ def quotient_group(G: FiniteGroup, N: FiniteGroup) -> FiniteGroup:
         raise SubgroupNotContained("N is not a subgroup of G")
     if not is_normal(G, N):
         raise NotNormal("N is not normal in G")
-    mul = G.action.mul
     coset_of, cosets = right_cosets(G, N)
     reps = [G.elements[coset[0]] for coset in cosets]
     n_cosets = len(reps)
     if n_cosets * N.order != G.order:
         raise RuntimeError("coset decomposition inconsistent")
-    gen_perms = [tuple(coset_of[G.index[mul(r, g)]] for r in reps) for g in G.generators]
+    index = G.index
+    gen_perms = [tuple(coset_of[index[x]] for x in map(G.action.right_mul(g), reps))
+                 for g in G.generators]
     Q = FiniteGroup.generate(PermAction(n_cosets), gen_perms, cap=n_cosets + 1,
                              marks={"coset_reps": reps, "coset_of": coset_of})
     if Q.order != n_cosets:

@@ -134,15 +134,21 @@ def check_arithmetic(act, elements, ref_mul, ref_inv, rng, pairs, view=lambda x:
     for _ in range(pairs):
         a, b, c = (rng.choice(elements) for _ in range(3))
         assert view(act.mul(a, b)) == ref_mul(f, view(a), view(b))
+        assert act.right_mul(b)(a) == act.mul(a, b)
         assert view(act.inv(a)) == ref_inv(f, view(a))
         assert act.mul(act.mul(a, b), c) == act.mul(a, act.mul(b, c))
         assert act.mul(a, act.inv(a)) == act.identity
 
 
 def check_perm_mul(n, a, b):
-    got = PermAction(n).mul(a, b)
+    act = PermAction(n)
+    got = act.mul(a, b)
     assert type(got) is tuple
     assert got == tuple(a[i] for i in b)
+    # on 0 and 1 points itemgetter alone would give a bare entry or raise
+    right = act.right_mul(b)(a)
+    assert type(right) is tuple
+    assert right == got
 
 
 @st.composite
@@ -175,11 +181,12 @@ def test_triple_arithmetic_matches_reference(sol0, sol1, level):
                      view=model.action.matrices)
 
 
-@pytest.mark.parametrize("level", [1, 2, 4])
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
 def test_matrix_arithmetic_matches_reference(level):
-    # GF(25) and GF(625) have eager tables; GF(5^16) fills its tables lazily
+    # GF(25) and GF(625) have eager tables; GF(5^8) and GF(5^16) fill their
+    # tables lazily
     act = MatrixAction(tower_field(level))
-    assert isinstance(act.field.mul_table, list) == (level < 4)
+    assert isinstance(act.field.mul_table, list) == (level < 3)
     rng = random.Random(400 + level)
     elements = [random_invertible(act.field, rng) for _ in range(300)]
     check_arithmetic(act, elements, ref_mat_mul, ref_mat_inv, rng, 500)
@@ -246,6 +253,39 @@ def test_triple_product_memo_stays_small(sol0):
     assert sum(map(len, act._prod.values())) < 5000
 
 
+def takes_sign_flip(act, x, y):
+    """Whether the stored x y is the negative of the plain slot products."""
+    mx, my = act.matrices(x), act.matrices(y)
+    permuted = [None] * 3
+    for i in range(3):
+        permuted[mx[3][i]] = my[i]
+    plain = tuple(ref_mat_mul(act.field, mx[k], permuted[k]) for k in range(3))
+    return act.matrices(act.mul(x, y))[:3] != plain
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_triple_right_mul_sign_rule(sol0, sol1, level):
+    # products with and without the sign flip, and left factors whose first
+    # slot has a zero first row or is zero, so the rule reads a later entry
+    # or slot
+    model = (sol0, sol1)[level]
+    act = model.action
+    rng = random.Random(440 + level)
+    elements = model_elements(model, rng, 100)
+    singular = []
+    for m1 in [(0, 0, 1, 1), (0, 0, 0, 2), (0, 0, 0, 0)]:
+        m2, m3 = random_invertible(act.field, rng), random_invertible(act.field, rng)
+        singular += [act.make(m1, m2, m3, pi) for pi in [(0, 1, 2), (2, 0, 1), (1, 0, 2)]]
+    pairs = [(rng.choice(elements), rng.choice(elements)) for _ in range(500)]
+    pairs += [(x, y) for x in singular for y in elements[:20] + singular]
+    for x, y in pairs:
+        assert act.right_mul(y)(x) == act.mul(x, y)
+        assert act.matrices(act.mul(x, y)) == ref_triple_mul(act.field, act.matrices(x),
+                                                             act.matrices(y))
+    flips = [takes_sign_flip(act, x, y) for x, y in pairs]
+    assert any(flips) and not all(flips)
+
+
 # -- closure and enumeration --------------------------------------------------
 
 
@@ -276,6 +316,75 @@ def test_enumeration_deterministic():
     a = FiniteGroup.generate(PermAction(4), gens)
     b = FiniteGroup.generate(PermAction(4), gens)
     assert a.elements == b.elements
+
+
+def reference_closure(action, generators):
+    """Breadth-first closure by action.mul: per element, the generators in
+    order, new elements appended."""
+    elements, seen = [action.identity], {action.identity}
+    gens = [g for g in generators if g != action.identity]
+    for x in elements:
+        for g in gens:
+            y = action.mul(x, g)
+            if y not in seen:
+                seen.add(y)
+                elements.append(y)
+    return elements
+
+
+def count_products(monkeypatch, cls):
+    """Count the products of an action class: its mul calls and the calls of
+    every x -> x g that its right_mul returns."""
+    calls = [0]
+    mul, right_mul = cls.mul, cls.right_mul
+
+    def counted_mul(self, a, b):
+        calls[0] += 1
+        return mul(self, a, b)
+
+    def counted_right_mul(self, g):
+        times = right_mul(self, g)
+
+        def counted(x):
+            calls[0] += 1
+            return times(x)
+
+        return counted
+
+    monkeypatch.setattr(cls, "mul", counted_mul)
+    monkeypatch.setattr(cls, "right_mul", counted_right_mul)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["gl42", "gf25", "sylow_l0"])
+def test_generate_matches_reference_closure(monkeypatch, sol0, case):
+    if case == "gl42":
+        # shuffled generators, one extra element and the identity
+        G = named_group("GL(4,2)")
+        rng = random.Random(800)
+        name, act = "GL(4,2)", G.action
+        gens = list(G.generators) + [rng.choice(G.elements), G.identity]
+        rng.shuffle(gens)
+    elif case == "gf25":
+        # SL(2,5) over the prime subfield and a diagonal torus element of GF(25)
+        f = tower_field(1)
+        w = f.omega
+        name, act = "M(25)", MatrixAction(f)
+        gens = [(1, 1, 0, 1), (0, f.neg(1), 1, 0), (w, 0, 0, f.inv(w))]
+    else:
+        name, act, gens = "S(l=0)", sol0.action, list(sol0.sylow.generators)
+    want = reference_closure(act, gens)
+    calls = count_products(monkeypatch, type(act))
+    G = FiniteGroup.generate(act, gens, name=name)
+    k = sum(g != act.identity for g in gens)
+    assert calls[0] == G.order * k
+    monkeypatch.undo()
+    assert G.elements == want
+    assert G.index == {x: i for i, x in enumerate(want)}
+    cap = len(want) // 3
+    with pytest.raises(CapExceeded) as err:
+        FiniteGroup.generate(act, gens, cap=cap, name=name)
+    assert str(err.value) == f"closure exceeded cap {cap} while generating {name}"
 
 
 def ref_greedy(action, elements):
@@ -557,14 +666,7 @@ def test_double_cosets_product_count(monkeypatch):
     # |G| products to label the right cosets, then |S| per double coset
     G = named_group("GL(4,2)")
     S = sylow_subgroup(G, 2)
-    calls = [0]
-    mul = PermAction.mul
-
-    def counted(self, a, b):
-        calls[0] += 1
-        return mul(self, a, b)
-
-    monkeypatch.setattr(PermAction, "mul", counted)
+    calls = count_products(monkeypatch, PermAction)
     n_cosets = sum(1 for _ in double_cosets(G, S))
     assert calls[0] <= G.order + S.order * n_cosets
 
@@ -573,14 +675,7 @@ def test_double_cosets_product_count(monkeypatch):
 def test_right_cosets_partition(monkeypatch, spec, p):
     G = named_group(spec)
     H = sylow_subgroup(G, p)
-    calls = [0]
-    mul = PermAction.mul
-
-    def counted(self, a, b):
-        calls[0] += 1
-        return mul(self, a, b)
-
-    monkeypatch.setattr(PermAction, "mul", counted)
+    calls = count_products(monkeypatch, PermAction)
     label, cosets = right_cosets(G, H)
     assert calls[0] == G.order
     monkeypatch.undo()
