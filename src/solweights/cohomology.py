@@ -32,6 +32,7 @@ from .groups import (
     FiniteGroup,
     _commutes_with,
     _discrete_log_table,
+    _greedy,
     _greedy_generators,
     _prime_factors,
     abelian_invariants,
@@ -172,8 +173,11 @@ def h2_abelian_sylow(G: FiniteGroup, p: int, basis: list[tuple] | None = None,
         # cyclic case: automorphism t -> t^k acts on H^1 and H^2 by k
         N = normalizer(G, P)
         gen = P.generators[0] if P.generators else P.identity
+        # the note lists the exponents over the greedy generators of N's
+        # sorted element set, as from_elements picks them, so that it
+        # depends on N alone and not on how N was built (N may be G)
         ks = {_coset_exponent(P, {P.identity}, gen, G.conj(gen, g)) % p
-              for g in N.generators}
+              for g in _greedy(N.action, sorted(N.elements), N.order + 1)[0]}
         dim = 1 if all(k == 1 for k in ks) else 0
         cert = H2Certificate(gname, p, dim, "cyclic-sylow-vanishing",
                              notes=[f"normalizer power exponents mod {p}: {sorted(ks)}"])

@@ -443,7 +443,9 @@ class FiniteGroup:
         return acc
 
     def is_subgroup_of(self, other: "FiniteGroup") -> bool:
-        return all(e in other.index for e in self.elements)
+        """Whether every generator lies in other, which is closed, so then
+        every element does."""
+        return all(g in other.index for g in self.generators)
 
     def subgroup(self, generators: Sequence[Element], name: str | None = None) -> "FiniteGroup":
         for g in generators:
@@ -581,13 +583,20 @@ def _scan(G: FiniteGroup, keep: Callable[[Element], bool],
           H: FiniteGroup | None = None) -> FiniteGroup:
     """The subgroup of the elements h of G with keep(h), by a walk over G.
 
-    H is a subgroup of G already known to lie in the answer (None for the
-    trivial group), so keep is constant on each right coset H g: the first
-    element of each coset is tested, and on a pass the whole coset is kept.
-    That is [G:H] tests instead of |G|.  Kept cosets hold G's own element
-    objects, not the fresh products, so they add no tuples.  The result goes
-    through from_elements, so it depends only on the element set.
+    The elements passing keep must form a subgroup of G, as stabilizers do
+    ({h : P^h = P}, {h : h commutes with X}).  So when every generator of G
+    passes, the answer is G itself: the generators are tested first, up to
+    the first that fails, and G comes back with no walk.
+
+    Otherwise H is a subgroup of G already known to lie in the answer (None
+    for the trivial group), so keep is constant on each right coset H g: the
+    first element of each coset is tested, and on a pass the whole coset is
+    kept.  That is [G:H] tests instead of |G|.  Kept cosets hold G's own
+    element objects, not the fresh products, so they add no tuples.  That
+    result goes through from_elements, so it depends only on the element set.
     """
+    if all(map(keep, G.generators)):
+        return G
     if H is None or H.order == 1:
         return FiniteGroup.from_elements(G.action, filter(keep, G.elements))
     elements = G.elements
@@ -631,9 +640,11 @@ def centralizer_of_subgroup(G: FiniteGroup, P: FiniteGroup) -> FiniteGroup:
 def normalizer(G: FiniteGroup, P: FiniteGroup) -> FiniteGroup:
     """N_G(P) by a walk over G (P need not be a subgroup of G).
 
-    When P <= G, P lies in N_G(P), so one test per right coset P g decides
-    the whole coset: [G:P] tests.  Otherwise every element is tested.
-    The result is memoized on G, keyed on the object P.
+    When every generator of G normalizes P the answer is G itself.
+    Otherwise, when P <= G, P lies in N_G(P), so one test per right coset
+    P g decides the whole coset: [G:P] tests, and the kept cosets go through
+    from_elements.  When P is not in G every element is tested.  The result
+    is memoized on G, keyed on the object P.
     """
     return _scan(G, lambda h: _normalizes(G, h, P), P if P.is_subgroup_of(G) else None)
 

@@ -311,23 +311,23 @@ def verify_torus_sequence(level: int) -> dict:
 
 
 def _count_normal_four_subgroups(S: FiniteGroup) -> int:
-    action = S.action
-    involutions = [e for e in S.elements if action.mul(e, e) == action.identity
-                   and e != action.identity]
-    seen = set()
-    count = 0
-    for i, a in enumerate(involutions):
-        for b in involutions[i + 1:]:
-            if action.mul(a, b) != action.mul(b, a):
-                continue
-            ab = action.mul(a, b)
-            key = tuple(sorted((a, b, ab)))
-            if key in seen:
-                continue
-            seen.add(key)
-            if is_normal(S, FiniteGroup.generate(action, [a, b], cap=4)):
-                count += 1
-    return count
+    """The number of Klein four subgroups of the 2-group S normal in S.
+
+    Each lies in the second centre Z_2(S), the preimage of Z(S/Z(S)).  A
+    normal subgroup N of order 4 meets Z(S), as every nontrivial normal
+    subgroup of a p-group does, so N Z(S)/Z(S) has order at most 2.  It is
+    normal in S/Z(S), and a normal subgroup of order 2 of a p-group is
+    central, so N Z(S)/Z(S) <= Z(S/Z(S)), that is N <= Z_2(S).  So the
+    count filters the subgroups of Z_2(S).
+    """
+    F = quotient_group(S, center(S))
+    # F acts regularly on the cosets: the element of the coset Z g sends Z,
+    # coset 0, to Z g
+    central = {x[0] for x in center(F).elements}
+    z2 = FiniteGroup.from_elements(
+        S.action, [g for g, c in zip(S.elements, F.marks["coset_of"]) if c in central])
+    return sum(1 for V in subgroups(z2)
+               if V.order == 4 and V.exponent() == 2 and is_normal(S, V))
 
 
 def _count_c4_cubed(S: FiniteGroup) -> int:

@@ -15,7 +15,7 @@ from solweights.cohomology import (
     odd_h2_kx,
     three_term_vanishing,
 )
-from solweights.groups import FiniteGroup, normalizer, sylow_subgroup
+from solweights.groups import FiniteGroup, PermAction, normalizer, sylow_subgroup
 from solweights.linalg import exterior_square, fixed_space
 from solweights.zoo import named_group
 
@@ -246,3 +246,12 @@ def test_kx_c3_cases():
 def test_cyclic_path_nontrivial_when_not_p_perfect():
     cert = h2_abelian_sylow(named_group("C3"), 3, name="C3")
     assert cert.dim == 1
+
+
+@pytest.mark.parametrize("gens", [None, [(1, 0, 2), (1, 2, 0)], [(1, 2, 0), (0, 2, 1)]])
+def test_cyclic_note_depends_on_the_normalizer_alone(gens):
+    # C3 is normal in S3, so N_S3(C3) is S3 itself, with S3's own generators
+    # (over which the exponents are [1, 2]); the note takes the exponents
+    # over the greedy generators of N's sorted element set instead
+    G = named_group("S3") if gens is None else FiniteGroup.generate(PermAction(3), gens)
+    assert h2_dim(G, 3).notes == ["normalizer power exponents mod 3: [2]"]

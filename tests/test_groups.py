@@ -36,6 +36,7 @@ from solweights.groups import (
     trivial_intersection,
     two_core,
 )
+from solweights.solmodel import _slotwise
 from solweights.zoo import (
     alternating_group,
     cyclic_group,
@@ -551,7 +552,100 @@ def test_normalizer_one_test_per_right_coset(monkeypatch, spec, p):
     real = groups._normalizes
     monkeypatch.setattr(groups, "_normalizes", lambda *args: calls.append(1) or real(*args))
     normalizer(G, P)
-    assert len(calls) == G.order // P.order
+    # one generator test (the first generator of G fails), then one test
+    # per right coset of P
+    assert len(calls) == G.order // P.order + 1
+
+
+V4_IN_S4 = [(1, 0, 3, 2), (2, 3, 0, 1)]
+
+
+def no_walk(monkeypatch):
+    """Fail the test on any right-coset labelling or re-closure."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("whole-group scan walked or re-closed G")
+
+    monkeypatch.setattr(groups, "right_cosets", refuse)
+    monkeypatch.setattr(FiniteGroup, "from_elements", classmethod(refuse))
+
+
+def whole_group_scan_case(case):
+    """(G, scan, number of elements each generator test conjugates or
+    commutes with); every generator of G passes the test."""
+    if case == "normalizer-V4-S4":
+        G = fresh(symmetric_group(4))
+        P = G.subgroup(V4_IN_S4)
+        return G, lambda: normalizer(G, P), len(P.generators)
+    if case == "center-abelian":
+        G = fresh(named_group("x(C4,C4)"))
+        return G, lambda: center(G), len(G.generators)
+    if case == "centralizer-central":
+        G = fresh(named_group("SL2(5)"))
+        return G, lambda: centralizer(G, (4, 0, 0, 4)), 1
+    raise KeyError(case)
+
+
+@pytest.mark.parametrize("case", ["normalizer-V4-S4", "center-abelian", "centralizer-central"])
+def test_whole_group_scan_returns_g(monkeypatch, case):
+    # the only products are the generator tests: two per generator of G and
+    # per tested element (x^g = g^-1 x g, or h x against x h)
+    G, scan, tested = whole_group_scan_case(case)
+    no_walk(monkeypatch)
+    calls = count_products(monkeypatch, type(G.action))
+    assert scan() is G
+    assert calls[0] == 2 * len(G.generators) * tested
+
+
+def test_whole_group_scan_of_l1_container(monkeypatch, sol1):
+    # C_S(U) is normal in N_K(R0): spot check (ii) gets the container back
+    act = sol1.action
+    n_r0 = FiniteGroup.generate(act, _slotwise(act, [sol1.x, sol1.y],
+                                               [act.make(sol1.c, sol1.c, sol1.c),
+                                                sol1.tau, sol1.rho]), cap=50_000)
+    csu = FiniteGroup.generate(act, list(sol1.r0.generators) + [sol1.d], cap=5000)
+    assert (n_r0.order, csu.order) == (24576, 4096)
+    no_walk(monkeypatch)
+    calls = count_products(monkeypatch, CentralTripleAction)
+    assert normalizer(n_r0, csu) is n_r0
+    assert calls[0] == 2 * len(n_r0.generators) * len(csu.generators)
+
+
+def brute_force(G, keep):
+    return {h for h in G.elements if keep(h)}
+
+
+def commutes(G, xs):
+    return lambda h: all(G.mul(h, x) == G.mul(x, h) for x in xs)
+
+
+BRUTE_FORCE_CASES = {
+    # (G, X, whole): normalizer and centralizer of X in G
+    "S4-V4": lambda: (symmetric_group(4), symmetric_group(4).subgroup(V4_IN_S4), True),
+    "S4-A4": lambda: (symmetric_group(4), alternating_group(4), True),
+    "S4-sylow3": lambda: (symmetric_group(4), sylow_subgroup(symmetric_group(4), 3), False),
+    "S4-sylow2": lambda: (symmetric_group(4), sylow_subgroup(symmetric_group(4), 2), False),
+    "SL2(5)-Q8": lambda: (*SCAN_CASES["SL2(5)-Q8"](), False),
+    # S4 is not a subgroup of A4, yet A4 normalizes it
+    "A4-S4": lambda: (alternating_group(4), symmetric_group(4), True),
+    "A7-S7sylow2": lambda: (named_group("A7"), sylow_subgroup(symmetric_group(7), 2), False),
+}
+
+
+@pytest.mark.parametrize("case", BRUTE_FORCE_CASES)
+def test_scans_match_brute_force_filter(case):
+    G, X, whole = BRUTE_FORCE_CASES[case]()
+    G = fresh(G)
+    N = normalizer(G, X)
+    assert set(N.elements) == brute_force(G, lambda h: groups._normalizes(G, h, X))
+    assert (N is G) == whole
+    C = centralizer_of_subgroup(G, X)
+    assert set(C.elements) == brute_force(G, commutes(G, X.generators))
+    for g in X.generators:
+        if g in G.index:
+            assert set(centralizer(G, g).elements) == brute_force(G, commutes(G, [g]))
+    Z = center(G)
+    assert set(Z.elements) == brute_force(G, commutes(G, G.generators))
+    assert (Z is G) == (len(Z) == len(G))
 
 
 def test_normalizer_memoized_per_group(monkeypatch):

@@ -2,7 +2,9 @@ import pytest
 
 from solweights import solmodel
 from solweights.fields import field_tower
-from solweights.groups import FiniteGroup, MatrixAction, center, conjugacy_classes, normalizer
+from solweights.groups import (
+    FiniteGroup, MatrixAction, center, conjugacy_classes, is_normal, normalizer,
+)
 from solweights.solmodel import _q8_subgroups, build_sol_model
 from solweights.zoo import named_group, sl2_group
 
@@ -118,6 +120,28 @@ def test_complement_four_group(sol0):
     assert four.order == 4
     assert all(e == act.identity for e in four.elements if e in sol0.r0.index)
     assert four.order * sol0.r0.order == sol0.sylow.order
+
+
+def normal_four_subgroups_reference(S):
+    """Normal Klein four subgroups of S, by closing every commuting pair of
+    distinct involutions."""
+    act = S.action
+    involutions = [e for e in S.elements if e != act.identity and act.mul(e, e) == act.identity]
+    found = set()
+    for i, a in enumerate(involutions):
+        for b in involutions[i + 1:]:
+            if act.mul(a, b) == act.mul(b, a):
+                V = FiniteGroup.generate(act, [a, b], cap=4)
+                if is_normal(S, V):
+                    found.add(frozenset(V.elements))
+    return len(found)
+
+
+@pytest.mark.parametrize("spec", ["D8", "D16", "quat(16)", "x(C2,D8)", "wr(C2,C2)",
+                                  "x(C4,C4)", "x(C2,x(C2,C2))"])
+def test_normal_four_subgroups_lie_in_second_centre(spec):
+    S = named_group(spec)
+    assert solmodel._count_normal_four_subgroups(S) == normal_four_subgroups_reference(S)
 
 
 def test_center_of_sylow(sol0, sol1):
