@@ -947,9 +947,6 @@ def subgroups(P: FiniteGroup) -> list[FiniteGroup]:
 # ---------------------------------------------------------------------------
 
 
-ISO_SEARCH_LIMIT = 400
-
-
 @dataclass(frozen=True)
 class GroupFingerprint:
     order: int
@@ -1008,41 +1005,45 @@ def _greedy_generators(G: FiniteGroup) -> list[Element]:
 
 def _extend_iso(G: FiniteGroup, H: FiniteGroup, gens: list[Element],
                 images: list[Element]) -> bool:
-    """Check the partial map gens -> images extends to an isomorphism."""
+    """Whether gens -> images extends to an injective homomorphism on
+    <gens>.  The walk pairs each element x of <gens> with its image f(x)
+    and multiplies both on the right by each generator and its image; it
+    fails as soon as x g is reached with a second image (f is not well
+    defined) or f(x) f(g) is reached from a second element (f is not
+    injective)."""
+    pairs = [(G.action.right_mul(g), H.action.right_mul(h)) for g, h in zip(gens, images)]
     mapping = {G.identity: H.identity}
-    frontier = [G.identity]
-    mulg = G.action.mul
-    mulh = H.action.mul
-    while frontier:
-        new_frontier = []
-        for x in frontier:
-            fx = mapping[x]
-            for g, fg in zip(gens, images):
-                y = mulg(x, g)
-                fy = mulh(fx, fg)
-                known = mapping.get(y)
-                if known is None:
-                    mapping[y] = fy
-                    new_frontier.append(y)
-                elif known != fy:
+    reached = {H.identity}
+    walk = [G.identity]
+    for x in walk:  # walk grows during the loop
+        fx = mapping[x]
+        for times_g, times_h in pairs:
+            y, fy = times_g(x), times_h(fx)
+            known = mapping.get(y)
+            if known is None:
+                if fy in reached:
                     return False
-        frontier = new_frontier
-    if len(mapping) != G.order:
-        return False
-    # injectivity: a well-defined surjection between equal orders is bijective
-    return len(set(mapping.values())) == H.order
+                mapping[y] = fy
+                reached.add(fy)
+                walk.append(y)
+            elif known != fy:
+                return False
+    return True
 
 
 def isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
-    """Exhaustive generator-mapping isomorphism search (orders <= 400).
+    """Backtrack search for an isomorphism G -> H on G's greedy generators.
 
-    The first generator image only ranges over class representatives of H,
-    since composing with an inner automorphism is free.
+    Each generator's candidate images share its element order and class
+    size, and the first image only ranges over class representatives of H,
+    since composing with an inner automorphism is free.  After image k is
+    chosen, ``_extend_iso`` checks the partial map on <g1..gk>, so a branch
+    dies at the first level where it is not an injective homomorphism; at
+    the last level <g1..gk> is G, and an injective homomorphism between
+    groups of equal order is an isomorphism.
     """
     if G.order != H.order:
         return False
-    if G.order > ISO_SEARCH_LIMIT:
-        raise CapExceeded(f"isomorphism search limited to order {ISO_SEARCH_LIMIT}")
     if fingerprint(G) != fingerprint(H):
         return False
     gens = _greedy_generators(G)
@@ -1055,25 +1056,19 @@ def isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
     table_h = class_index_table(H)
     h_keys = [(H.element_order(e), classes_h[table_h[i]].size)
               for i, e in enumerate(H.elements)]
-    # per level, computed once: the images with the generator's element order
-    # and class size, and the order of the word gens[k-1] * gens[k]
+    # per level, computed once: the images with the generator's element
+    # order and class size
     levels = [[c.rep for c in classes_h if h_keys[H.index[c.rep]] == g_keys[0]]]
     levels += [[e for e, key in zip(H.elements, h_keys) if key == g_keys[k]]
                for k in range(1, len(gens))]
-    word_orders = [0] + [G.element_order(G.action.mul(gens[k - 1], gens[k]))
-                         for k in range(1, len(gens))]
-    hmul = H.action.mul
     images: list[Element] = []
 
     def backtrack(k: int) -> bool:
         if k == len(gens):
-            return _extend_iso(G, H, gens, images)
+            return True
         for cand in levels[k]:
-            # quick partial check: orders of short words must match
-            if k and H.element_order(hmul(images[k - 1], cand)) != word_orders[k]:
-                continue
             images.append(cand)
-            if backtrack(k + 1):
+            if _extend_iso(G, H, gens[:k + 1], images) and backtrack(k + 1):
                 return True
             images.pop()
         return False
@@ -1082,16 +1077,9 @@ def isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
 
 
 def identify(G: FiniteGroup, reference: FiniteGroup) -> str | None:
-    """Two-tier identification against a reference group.
-
-    Returns "isomorphism-verified" when the exhaustive search succeeds
-    (order <= 400, where ``isomorphic`` compares fingerprints first),
-    "fingerprint-verified" when only fingerprints match (the documented
-    weaker guarantee), or None on a mismatch.
-    """
-    if G.order <= ISO_SEARCH_LIMIT:
-        return "isomorphism-verified" if isomorphic(G, reference) else None
-    return "fingerprint-verified" if fingerprint(G) == fingerprint(reference) else None
+    """Return "isomorphism-verified" when ``isomorphic`` finds an
+    isomorphism from G onto the reference group, else None."""
+    return "isomorphism-verified" if isomorphic(G, reference) else None
 
 
 # ---------------------------------------------------------------------------

@@ -528,7 +528,7 @@ def spotcheck_l1() -> dict:
     out = induced_outer(n_gens, p0, action=action)
     rep.check("|Out_K(Q1Q2Q3)| = 1296", 1296, out.order)
     target = named_group("wr(S3,S3)")
-    rep.check("Out_K(Q1Q2Q3) fingerprint", "fingerprint-verified", identify(out, target))
+    rep.check("Out_K(Q1Q2Q3) type", "isomorphism-verified", identify(out, target))
 
     # (ii) Out_K(C_S(U)) via the enumerated normalizer of R0
     csu = FiniteGroup.generate(action, list(model.r0.generators) + [model.d],

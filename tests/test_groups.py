@@ -871,10 +871,11 @@ def test_isomorphic_small():
     assert isomorphic(named_group("wr(C2,C2)"), named_group("D8"))
     assert not isomorphic(named_group("quat(8)"), named_group("D8"))
     assert identify(named_group("quat(8)"), named_group("D8")) is None
+    assert identify(cyclic_group(1), cyclic_group(1)) == "isomorphism-verified"
 
 
 @pytest.mark.parametrize("spec,verdict", [("m108", "isomorphism-verified"),
-                                          ("wr(S3,S3)", "fingerprint-verified")])
+                                          ("wr(S3,S3)", "isomorphism-verified")])
 def test_identify_builds_each_fingerprint_once(monkeypatch, spec, verdict):
     calls = []
     real = groups.abelianization
@@ -921,6 +922,30 @@ def test_isomorphic_rejects_equal_fingerprints():
     assert fingerprint(G) == fingerprint(H)
     assert not isomorphic(G, H)
     assert not isomorphic(H, G)
+
+
+@pytest.mark.parametrize("spec", ["wr(S3,S3)", "x(m324,C2)"])
+def test_identify_relabelled_by_search(spec):
+    """Orders 1,296 and 648 are decided by the search, with no order limit."""
+    G = named_group(spec)
+    H = relabelled(G, random.Random(G.order))
+    assert H.elements != G.elements
+    assert identify(H, G) == "isomorphism-verified"
+
+
+def test_extend_iso_checks_partial_maps():
+    C4 = cyclic_group(4)
+    (g,) = C4.generators
+    # g -> g^2 is a well-defined homomorphism of C4, but not injective
+    assert not groups._extend_iso(C4, C4, [g], [C4.mul(g, g)])
+    assert groups._extend_iso(C4, C4, [g], [C4.inv(g)])
+    S3 = symmetric_group(3)
+    t = next(e for e in S3.elements if S3.element_order(e) == 2)
+    c = next(e for e in S3.elements if S3.element_order(e) == 3)
+    # an involution sent to a 3-cycle: t t = 1 but c c != 1, not well defined
+    assert not groups._extend_iso(S3, S3, [t], [c])
+    # a partial map is judged on the subgroup its generators span
+    assert groups._extend_iso(S3, S3, [c], [S3.mul(c, c)])
 
 
 # -- induced outer automorphisms --------------------------------------------------------

@@ -30,3 +30,8 @@ def test_spotcheck_l1_key_values(spotcheck_report_l1):
     assert 15600 // 48 == 325
     assert checks["|Out_K(Q1Q2Q3)| = 1296"]["computed"] == 1296
     assert checks["witness |O_2(Out_K(P))| = 2 (not radical)"]["computed"] == 2
+
+
+def test_spotcheck_l1_out_type_by_search(spotcheck_report_l1):
+    checks = {c["check"]: c for c in spotcheck_report_l1["checks"]}
+    assert checks["Out_K(Q1Q2Q3) type"]["computed"] == "isomorphism-verified"
