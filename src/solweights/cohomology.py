@@ -36,7 +36,7 @@ from .groups import (
     _greedy_generators,
     _prime_factors,
     abelian_invariants,
-    abelianization,
+    derived_subgroup,
     is_normal,
     maximal_subgroups,
     normalizer,
@@ -90,9 +90,8 @@ class KxCertificate:
 
 
 def is_p_perfect(G: FiniteGroup, p: int) -> bool:
-    """True iff the abelianization has trivial p-part."""
-    ab = abelianization(G)
-    return ab.order % p != 0
+    """True iff G/G' has order prime to p."""
+    return (G.order // derived_subgroup(G).order) % p != 0
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,8 @@ identity, deterministic in the generator order) and structural data derived
 from it.  A ``FiniteGroup`` is append-only: its elements, generators and
 marks are fixed at construction, and its one memo ``_memo`` gains an entry
 per ``cached_per_group`` call (classes with their index table, center,
-derived and Frattini subgroups, Sylow subgroups, normalizers and the
-fingerprint) on first use, never changed after and freed with the group.
+derived and Frattini subgroups, Sylow subgroups and normalizers) on first
+use, never changed after and freed with the group.
 Every operation here is a function of its inputs alone, so a shared
 memoized group gives the same results whichever caller fills its memo first.
 """
@@ -690,6 +690,20 @@ def subgroup_orbit(action: Action, ambient_generators: Sequence[Element],
 # ---------------------------------------------------------------------------
 
 
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def _p_part(n: int, p: int) -> int:
     out = 1
     while n % p == 0:
@@ -781,9 +795,8 @@ def quotient_group(G: FiniteGroup, N: FiniteGroup) -> FiniteGroup:
     """G/N as a permutation group on the cosets of N.
 
     Cosets are numbered as by ``right_cosets``, and each is represented by
-    its first element in G's enumeration order.  The representatives are
-    stored in ``marks["coset_reps"]`` and the coset number of each element
-    index of G in ``marks["coset_of"]``.
+    its first element in G's enumeration order.  The coset number of each
+    element index of G is stored in ``marks["coset_of"]``.
     """
     if not N.is_subgroup_of(G):
         raise SubgroupNotContained("N is not a subgroup of G")
@@ -798,7 +811,7 @@ def quotient_group(G: FiniteGroup, N: FiniteGroup) -> FiniteGroup:
     gen_perms = [tuple(coset_of[index[x]] for x in map(G.action.right_mul(g), reps))
                  for g in G.generators]
     Q = FiniteGroup.generate(PermAction(n_cosets), gen_perms, cap=n_cosets + 1,
-                             marks={"coset_reps": reps, "coset_of": coset_of})
+                             marks={"coset_of": coset_of})
     if Q.order != n_cosets:
         raise RuntimeError("quotient order mismatch")
     return Q
@@ -813,10 +826,6 @@ def derived_subgroup(G: FiniteGroup) -> FiniteGroup:
         for b in G.generators:
             comms.add(mul(mul(inv(a), inv(b)), mul(a, b)))
     return _normal_closure(G, sorted(comms))
-
-
-def abelianization(G: FiniteGroup) -> FiniteGroup:
-    return quotient_group(G, derived_subgroup(G))
 
 
 def abelian_invariants(A: FiniteGroup) -> tuple[int, ...]:
@@ -943,58 +952,8 @@ def subgroups(P: FiniteGroup) -> list[FiniteGroup]:
 
 
 # ---------------------------------------------------------------------------
-# fingerprints and isomorphism identification
+# isomorphism identification
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GroupFingerprint:
-    order: int
-    class_sizes: tuple[int, ...]
-    center_order: int
-    derived_orders: tuple[int, ...]
-    abelian_invariants: tuple[int, ...]
-    exponent: int
-    sylow_orders: tuple[tuple[int, int], ...]
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-@cached_per_group
-def fingerprint(G: FiniteGroup) -> GroupFingerprint:
-    """Isomorphism-invariant record of structural data."""
-    sizes = tuple(sorted(c.size for c in conjugacy_classes(G)))
-    derived_orders = []
-    current = G
-    while True:
-        nxt = derived_subgroup(current)
-        derived_orders.append(nxt.order)
-        if nxt.order == current.order or nxt.order == 1:
-            break
-        current = nxt
-    ab = abelian_invariants(abelianization(G))
-    sylows = tuple((p, _p_part(G.order, p)) for p in _prime_factors(G.order))
-    return GroupFingerprint(
-        order=G.order,
-        class_sizes=sizes,
-        center_order=center(G).order,
-        derived_orders=tuple(derived_orders),
-        abelian_invariants=ab,
-        exponent=G.exponent(),
-        sylow_orders=sylows,
-    )
 
 
 def _greedy_generators(G: FiniteGroup) -> list[Element]:
@@ -1043,8 +1002,6 @@ def isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
     groups of equal order is an isomorphism.
     """
     if G.order != H.order:
-        return False
-    if fingerprint(G) != fingerprint(H):
         return False
     gens = _greedy_generators(G)
     if not gens:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 
-from .errors import CapExceeded
 from .groups import (
     ConjClass,
     FiniteGroup,
@@ -162,11 +161,7 @@ def two_complement_shortcut(G: FiniteGroup) -> int | None:
     if len(odd_elements) != odd_part:
         return None
     # closure check: the odd elements must already form a subgroup
-    try:
-        complement = FiniteGroup.generate(G.action, odd_elements, cap=odd_part + 1)
-    except CapExceeded:
-        return None
-    if complement.order != odd_part:
+    if G.subgroup(odd_elements).order != odd_part:
         return None
     return len(defect_zero_classes(G))
 

@@ -36,11 +36,11 @@ from .groups import (
     center,
     centralizer_of_subgroup,
     class_index_table,
-    fingerprint,
     frattini_subgroup,
     identify,
     induced_outer,
     is_normal,
+    isomorphic,
     maximal_subgroups,
     normalizer,
     quotient_group,
@@ -552,11 +552,11 @@ def spotcheck_l1() -> dict:
                              name="Q1Q2Q3<s>")
     rep.check("|P| = 1024, P/P0 cyclic of order 4", (1024, 4), (P.order, P.order // p0.order))
 
-    # container chain: P meet L0 has a unique maximal subgroup of the
-    # central-product type, namely P0, so normalizers of P normalize P0
+    # container chain: P0 is the only maximal subgroup of P meet L0
+    # isomorphic to P0, so normalizers of P normalize P0
     p_plus = FiniteGroup.generate(action, list(p0.generators) + [s2], cap=1024)
     rep.check("|P meet L0| = 512", 512, p_plus.order)
-    p0_like = sum(fingerprint(M) == fingerprint(p0) for M in maximal_subgroups(p_plus))
+    p0_like = sum(isomorphic(M, p0) for M in maximal_subgroups(p_plus))
     rep.check("P0 characteristic in P meet L0", 1, p0_like)
 
     m_container = FiniteGroup.generate(action, n_gens, cap=400_000, name="N_K(Q1Q2Q3)")

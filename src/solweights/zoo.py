@@ -8,7 +8,7 @@ the 3-torsion in the order-108/324 semidirect products, and so on).
 
 Spec grammar understood by :func:`named_group`:
 
-    S<n>  A<n>  C<n>  D<2n>  GL(<n>,2)  SL2(<q>)  quat(<2^k>)
+    S<n>  A<n>  C<n>  D<2n> (2n >= 6)  GL(<n>,2)  SL2(<q>)  quat(<2^k>)
     wr(<spec>,<spec>)  x(<spec>,<spec>)  dih(C3xC3)  m108  m324  1
 """
 
@@ -62,9 +62,12 @@ def alternating_group(n: int) -> FiniteGroup:
 
 
 def dihedral_group(order: int) -> FiniteGroup:
-    """D_<order>, dihedral of the given (even) order, on order/2 points."""
-    if order % 2 or order < 4:
-        raise UnknownSpec(f"dihedral order must be even and >= 4, got {order}")
+    """D_<order>, dihedral of the given (even) order, on order/2 points.
+
+    The action is faithful only from order 6 on, so order 4 is rejected; the
+    Klein four-group is ``x(C2,C2)``."""
+    if order % 2 or order < 6:
+        raise UnknownSpec(f"dihedral order must be even and >= 6, got {order}")
     n = order // 2
     act = PermAction(n)
     rot = tuple((i + 1) % n for i in range(n))
@@ -172,7 +175,7 @@ def generalized_dihedral_c3c3() -> FiniteGroup:
     # regular action on pairs encoded 3a + b; inversion sends (a, b) to (-a, -b)
     inv = tuple(3 * ((-(p // 3)) % 3) + ((-(p % 3)) % 3) for p in range(9))
     G = FiniteGroup.generate(act, [ta, tb, inv], name="dih(C3xC3)",
-                             marks={"v_basis": [ta, tb], "inverter": inv})
+                             marks={"v_basis": [ta, tb]})
     if G.order != 18:
         raise RuntimeError("generalized dihedral construction has wrong order")
     return G
@@ -182,8 +185,7 @@ def m108() -> FiniteGroup:
     """C3^3 : (C2 x C2), inversion and the swap of the first two blocks."""
     act = PermAction(9)
     G = FiniteGroup.generate(act, [_T0, _T1, _T2, _INV, _SWAP], name="m108",
-                             marks={"v_basis": [_T0, _T1, _T2],
-                                    "inverter": _INV, "swap": _SWAP})
+                             marks={"v_basis": [_T0, _T1, _T2]})
     if G.order != 108:
         raise RuntimeError("m108 construction has wrong order")
     return G
@@ -193,8 +195,7 @@ def m324() -> FiniteGroup:
     """C3^3 : (C2 x S3), inversion commuting with the full block permutation."""
     act = PermAction(9)
     G = FiniteGroup.generate(act, [_T0, _T1, _T2, _INV, _SWAP, _ROT], name="m324",
-                             marks={"v_basis": [_T0, _T1, _T2],
-                                    "inverter": _INV, "swap": _SWAP, "rot": _ROT})
+                             marks={"v_basis": [_T0, _T1, _T2]})
     if G.order != 324:
         raise RuntimeError("m324 construction has wrong order")
     return G

@@ -7,10 +7,7 @@ checked against genuine cold-run timings.
 
 import time
 
-import pytest
-
 from solweights.fusion_tables import bound_check, weight_count
-from solweights.groups import FiniteGroup
 from solweights.linalg import gram_gf2
 from solweights.poset_limits import (
     build_chain_poset,

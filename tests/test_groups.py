@@ -6,14 +6,13 @@ from hypothesis import strategies as st
 
 from solweights import groups
 from solweights.errors import CapExceeded, NotNormal
-from solweights.fields import prime_field, tower_field
+from solweights.fields import tower_field
 from solweights.groups import (
     CentralTripleAction,
     FiniteGroup,
     MatrixAction,
     PermAction,
     abelian_invariants,
-    abelianization,
     center,
     centralizer,
     centralizer_of_subgroup,
@@ -21,7 +20,6 @@ from solweights.groups import (
     conjugacy_classes,
     derived_subgroup,
     double_cosets,
-    fingerprint,
     frattini_subgroup,
     identify,
     induced_outer,
@@ -804,20 +802,21 @@ def test_quotient_by_self_trivial():
     G = symmetric_group(4)
     Q = quotient_group(G, G)
     assert Q.order == 1
-    # Q keeps one identity generator per generator of G, and its derived
-    # subgroup and fingerprint multiply them on one point
+    # Q keeps one identity generator per generator of G, and its center,
+    # derived subgroup, exponent and isomorphism test multiply them on one point
     assert Q.generators == ((0,),) * len(G.generators)
-    assert derived_subgroup(Q).elements == [(0,)]
-    assert fingerprint(Q) == fingerprint(named_group("1"))
+    assert center(Q).elements == derived_subgroup(Q).elements == [(0,)]
+    assert Q.exponent() == 1
+    assert isomorphic(Q, named_group("1"))
 
 
 def test_degree_one_group_with_identity_generator():
     G = FiniteGroup.generate(PermAction(1), [(0,)])
     assert G.generators == ((0,),)
-    assert derived_subgroup(G).elements == [(0,)]
-    fp = fingerprint(G)
-    assert (fp.order, fp.class_sizes, fp.center_order) == (1, (1,), 1)
-    assert (fp.derived_orders, fp.abelian_invariants, fp.exponent) == ((1,), (), 1)
+    assert center(G).elements == derived_subgroup(G).elements == [(0,)]
+    assert [c.size for c in conjugacy_classes(G)] == [1]
+    assert G.exponent() == 1
+    assert isomorphic(G, named_group("1"))
 
 
 def test_quotient_not_normal():
@@ -832,16 +831,16 @@ def test_quotient_coset_labels_match_reps(spec, kernel):
     G = named_group(spec)
     N = kernel(G)
     Q = quotient_group(G, N)
-    reps, coset_of = Q.marks["coset_reps"], Q.marks["coset_of"]
-    assert len(reps) == Q.order and len(coset_of) == G.order
-    # each element lies in N times its coset's representative
-    for g, k in zip(G.elements, coset_of):
-        assert G.mul(g, G.inv(reps[k])) in N.index
-    # each representative is the first element of its coset, labelled by its number
+    coset_of = Q.marks["coset_of"]
+    assert len(coset_of) == G.order
+    # cosets are numbered in the order their first elements appear
     firsts = {}
     for i, k in enumerate(coset_of):
         firsts.setdefault(k, G.elements[i])
-    assert [firsts[k] for k in range(len(reps))] == reps
+    assert list(firsts) == list(range(Q.order))
+    # each element lies in N times the first element of its coset
+    for g, k in zip(G.elements, coset_of):
+        assert G.mul(g, G.inv(firsts[k])) in N.index
 
 
 def test_quotient_class_count_central():
@@ -852,19 +851,19 @@ def test_quotient_class_count_central():
     assert len(conjugacy_classes(Q)) <= len(conjugacy_classes(G))
 
 
-# -- fingerprints and isomorphism -----------------------------------------------------
+# -- isomorphism --------------------------------------------------------------------
 
 
-def test_fingerprint_separates_c6_s3():
-    assert fingerprint(cyclic_group(6)) != fingerprint(symmetric_group(3))
+def test_isomorphic_separates_c6_s3():
+    assert not isomorphic(cyclic_group(6), symmetric_group(3))
+    assert not isomorphic(symmetric_group(3), cyclic_group(6))
 
 
-def test_fingerprint_generalized_dihedral():
+def test_generalized_dihedral_invariants():
     G = named_group("dih(C3xC3)")
-    fp = fingerprint(G)
-    assert fp.center_order == 1
-    assert fp.abelian_invariants == (2,)
-    assert fp.class_sizes == (1, 2, 2, 2, 2, 9)
+    assert center(G).order == 1
+    assert abelian_invariants(quotient_group(G, derived_subgroup(G))) == (2,)
+    assert sorted(c.size for c in conjugacy_classes(G)) == [1, 2, 2, 2, 2, 9]
 
 
 def test_isomorphic_small():
@@ -876,13 +875,13 @@ def test_isomorphic_small():
 
 @pytest.mark.parametrize("spec,verdict", [("m108", "isomorphism-verified"),
                                           ("wr(S3,S3)", "isomorphism-verified")])
-def test_identify_builds_each_fingerprint_once(monkeypatch, spec, verdict):
-    calls = []
-    real = groups.abelianization
-    monkeypatch.setattr(groups, "abelianization", lambda G: calls.append(1) or real(G))
+def test_identify_needs_no_derived_subgroup(monkeypatch, spec, verdict):
+    """The search decides alone: no derived series is built on the way."""
+    def refuse(G):
+        raise AssertionError("derived_subgroup called")
     G = named_group(spec)
+    monkeypatch.setattr(groups, "derived_subgroup", refuse)
     assert identify(fresh(G), fresh(G)) == verdict
-    assert len(calls) <= 2
 
 
 def relabelled(G, rnd):
@@ -898,10 +897,10 @@ def relabelled(G, rnd):
 
 @settings(max_examples=20, deadline=None)
 @given(st.randoms(use_true_random=False))
-def test_fingerprint_relabeling_invariance(rnd):
-    """Conjugating all generators by a random permutation fixes the print."""
+def test_isomorphic_relabeling_invariance(rnd):
+    """Conjugating all generators by a random permutation keeps the type."""
     G = named_group("wr(S3,C2)")
-    assert fingerprint(relabelled(G, rnd)) == fingerprint(G)
+    assert isomorphic(relabelled(G, rnd), G)
 
 
 def test_isomorphic_m324_relabelled():
@@ -911,15 +910,46 @@ def test_isomorphic_m324_relabelled():
     assert isomorphic(H, G)
 
 
-def test_isomorphic_rejects_equal_fingerprints():
-    # Q8 x C2 and D8 x C2 share every fingerprint field, so only the
-    # backtrack search tells them apart
+def order_class_keys(G):
+    """The multiset of (element order, class size) over G's elements."""
+    classes, table = conjugacy_classes(G), class_index_table(G)
+    return sorted((G.element_order(e), classes[table[i]].size) for i, e in enumerate(G.elements))
+
+
+def c4_by_c4():
+    """C4 : C4, the second factor inverting the first, in its right regular
+    action on the 16 pairs (i, j)."""
+    def mul(x, y):
+        return (x[0] + (-1) ** x[1] * y[0]) % 4, (x[1] + y[1]) % 4
+    elems = [(i, j) for i in range(4) for j in range(4)]
+    index = {e: n for n, e in enumerate(elems)}
+    gens = [tuple(index[mul(e, g)] for e in elems) for g in [(1, 0), (0, 1)]]
+    return FiniteGroup.generate(PermAction(16), gens)
+
+
+def test_isomorphic_rejects_equal_level_keys():
     q8 = named_group("quat(8)")
     regular = FiniteGroup.generate(
         PermAction(8), [tuple(q8.index[q8.mul(x, g)] for x in q8.elements) for g in q8.generators])
     G = direct_product(regular, cyclic_group(2))
     H = named_group("x(D8,C2)")
-    assert fingerprint(G) == fingerprint(H)
+    assert not isomorphic(G, H)
+    assert not isomorphic(H, G)
+    # Q8 x C2 and C4 : C4 have the same (element order, class size) counts
+    # (3 central involutions, 12 elements of order 4 in classes of size 2),
+    # so the candidate lists alone cannot tell them apart; the search does
+    K = c4_by_c4()
+    assert K.order == 16
+    assert order_class_keys(G) == order_class_keys(K)
+    assert not isomorphic(G, K)
+    assert not isomorphic(K, G)
+
+
+@pytest.mark.parametrize("spec_g, spec_h", [("wr(S3,S3)", "x(S3,x(S3,x(S3,S3)))"),
+                                            ("m324", "x(m108,C3)")])
+def test_isomorphic_rejects_equal_order(spec_g, spec_h):
+    G, H = named_group(spec_g), named_group(spec_h)
+    assert G.order == H.order
     assert not isomorphic(G, H)
     assert not isomorphic(H, G)
 
@@ -1037,11 +1067,11 @@ def test_induced_outer_matches_full_tuple_reference(sol0, case, order):
 # -- structural helpers -------------------------------------------------------------------
 
 
-def test_derived_and_abelianization():
+def test_derived_and_abelian_invariants():
     G = symmetric_group(4)
     D = derived_subgroup(G)
     assert D.order == 12
-    assert abelian_invariants(abelianization(G)) == (2,)
+    assert abelian_invariants(quotient_group(G, D)) == (2,)
 
 
 @pytest.mark.parametrize("spec,order", [("S3", 1), ("S4", 4), ("D8", 8), ("x(C2,S3)", 2)])

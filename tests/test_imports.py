@@ -1,5 +1,5 @@
-"""Every import in the package is used, and every function, module-level
-constant and class is read somewhere in the package."""
+"""Every import in the package and its tests is used, and every function,
+module-level constant and class is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -7,6 +7,7 @@ from pathlib import Path
 import solweights
 
 PACKAGE = Path(solweights.__file__).parent
+TESTS = Path(__file__).parent
 SCOPES = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -33,7 +34,8 @@ def unused_imports(path: Path) -> list[str]:
 
 
 def test_no_unused_imports():
-    found = [entry for path in sorted(PACKAGE.glob("*.py")) for entry in unused_imports(path)]
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    found = [entry for path in paths for entry in unused_imports(path)]
     assert found == []
 
 

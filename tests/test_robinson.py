@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from solweights.groups import FiniteGroup, PermAction, class_index_table, sylow_subgroup
+from solweights import groups
+from solweights.errors import CapExceeded
+from solweights.groups import class_index_table
 from solweights.robinson import (
     choice_invariance,
     cycle_type,
@@ -89,11 +91,19 @@ def test_two_group_has_no_defect_zero_blocks():
     assert data.gram_rank() == 0
 
 
+def test_shortcut_stops_at_lowered_cap(monkeypatch):
+    G = named_group("S3")
+    monkeypatch.setattr(groups, "DEFAULT_CAP", 2)
+    with pytest.raises(CapExceeded):
+        two_complement_shortcut(G)
+
+
 def test_shortcut_values():
     assert two_complement_shortcut(named_group("S3")) == 1
     assert two_complement_shortcut(named_group("dih(C3xC3)")) == 4
     assert two_complement_shortcut(named_group("m108")) == 4
     assert two_complement_shortcut(named_group("A7")) is None
+    assert two_complement_shortcut(named_group("S4")) is None
 
 
 def test_shortcut_agrees_with_matrix():

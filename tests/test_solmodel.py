@@ -3,7 +3,7 @@ import pytest
 from solweights import solmodel
 from solweights.fields import field_tower
 from solweights.groups import (
-    FiniteGroup, MatrixAction, center, conjugacy_classes, is_normal, normalizer,
+    FiniteGroup, MatrixAction, center, is_normal, normalizer,
 )
 from solweights.solmodel import _q8_subgroups, build_sol_model
 from solweights.zoo import named_group, sl2_group

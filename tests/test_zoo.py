@@ -1,7 +1,8 @@
 import pytest
 
+from solweights import zoo
 from solweights.errors import UnknownSpec
-from solweights.groups import FiniteGroup, conjugacy_classes, fingerprint, isomorphic
+from solweights.groups import FiniteGroup, conjugacy_classes, isomorphic
 from solweights.zoo import named_group, quaternion_frame, sl2_group, wreath_product
 
 
@@ -74,9 +75,8 @@ def test_generalized_dihedral_classes():
 
 def test_m324_structure():
     G = named_group("m324")
-    inv = G.marks["inverter"]
-    rot = G.marks["rot"]
-    swap = G.marks["swap"]
+    inv, swap, rot = zoo._INV, zoo._SWAP, zoo._ROT
+    assert all(g in G.index for g in (inv, swap, rot))
     # the block permutation part commutes with the inversion
     assert G.mul(inv, rot) == G.mul(rot, inv)
     assert G.mul(inv, swap) == G.mul(swap, inv)
@@ -118,6 +118,13 @@ def test_unknown_specs():
     for bad in ("Q8", "GL(4,3)", "wr(S3)", "SL2(7)", ""):
         with pytest.raises(UnknownSpec):
             named_group(bad)
+
+
+@pytest.mark.parametrize("order", range(6, 21, 2))
+def test_dihedral_order(order):
+    G = named_group(f"D{order}")
+    assert G.order == order
+    assert max(map(G.element_order, G.elements)) == order // 2
 
 
 def test_direct_product_marks():
