@@ -36,6 +36,7 @@ from .groups import (
     _greedy_generators,
     _prime_factors,
     abelian_invariants,
+    conjugator,
     derived_subgroup,
     is_normal,
     maximal_subgroups,
@@ -112,7 +113,7 @@ def action_matrices(G: FiniteGroup, P: FiniteGroup, p: int,
     mats = []
     for g in acting:
         # columns are images of basis vectors
-        cols = [logs.get(G.conj(b, g)) for b in basis]
+        cols = list(map(logs.get, map(conjugator(G.action, g), basis)))
         if None in cols:
             raise RuntimeError("conjugation does not preserve the subgroup")
         mats.append(transpose(cols))
@@ -175,7 +176,7 @@ def h2_abelian_sylow(G: FiniteGroup, p: int, basis: list[tuple] | None = None,
         # the note lists the exponents over the greedy generators of N's
         # sorted element set, as from_elements picks them, so that it
         # depends on N alone and not on how N was built (N may be G)
-        ks = {_coset_exponent(P, {P.identity}, gen, G.conj(gen, g)) % p
+        ks = {_coset_exponent(P, {P.identity}, gen, conjugator(G.action, g)(gen)) % p
               for g in _greedy(N.action, sorted(N.elements), N.order + 1)[0]}
         dim = 1 if all(k == 1 for k in ks) else 0
         cert = H2Certificate(gname, p, dim, "cyclic-sylow-vanishing",
@@ -267,7 +268,7 @@ def h2_wreath_c3(G: FiniteGroup, name: str | None = None) -> H2Certificate:
 
     # quotient summand H^2(C3): outer element acts by its power exponent on
     # the rotation coset
-    ks = [_coset_exponent(W, base.index, rho, G.conj(rho, g)) % 3 for g in outer]
+    ks = [_coset_exponent(W, base.index, rho, conjugator(G.action, g)(rho)) % 3 for g in outer]
     quotient_dim = 1 if all(k == 1 for k in ks) else 0
 
     dim = len(fixed_a) + middle_dim + quotient_dim

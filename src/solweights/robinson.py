@@ -17,6 +17,7 @@ from .groups import (
     _p_part,
     class_index_table,
     conjugacy_classes,
+    conjugator,
     double_cosets,
     sylow_subgroup,
     trivial_intersection,
@@ -227,9 +228,8 @@ def choice_invariance(G: FiniteGroup, runs: int = 20, seed: int = 0,
             data = repick(base, rng)
             report.ranks.append(data.gram_rank())
         elif kind == "sylow":
-            g = rng.choice(G.elements)
-            conj = [G.conj(s, g) for s in base.sylow.elements]
-            S2 = FiniteGroup.from_elements(G.action, conj)
+            conj = conjugator(G.action, rng.choice(G.elements))
+            S2 = FiniteGroup.from_elements(G.action, map(conj, base.sylow.elements))
             data = robinson_matrix(G, sylow=S2)
             report.ranks.append(data.gram_rank())
         else:

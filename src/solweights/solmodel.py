@@ -30,12 +30,12 @@ from .groups import (
     CentralTripleAction,
     FiniteGroup,
     MatrixAction,
-    _orbit,
     abelian_invariants,
     cached_per_cap,
     center,
     centralizer_of_subgroup,
     class_index_table,
+    conjugator,
     frattini_subgroup,
     identify,
     induced_outer,
@@ -169,11 +169,11 @@ def build_sol_model(level: int) -> SolModel:
 # ---------------------------------------------------------------------------
 
 
-def _q8_subgroups(R: FiniteGroup) -> set[tuple]:
-    """The Q8 subgroups of the 2-group R, each as its sorted element tuple:
-    the subgroups of order 8 and exponent 4 with a unique involution (C8 is
-    the only other group of order 8 with one involution)."""
-    return {tuple(sorted(H.elements)) for H in subgroups(R)
+def _q8_subgroups(R: FiniteGroup) -> dict[frozenset, FiniteGroup]:
+    """The Q8 subgroups of the 2-group R, keyed by element set: the
+    subgroups of order 8 and exponent 4 with a unique involution (C8 is the
+    only other group of order 8 with one involution)."""
+    return {frozenset(H.elements): H for H in subgroups(R)
             if H.order == 8 and H.exponent() == 4
             and sum(1 for e in H.elements if H.element_order(e) == 2) == 1}
 
@@ -192,7 +192,7 @@ def verify_quaternion_lemma(level: int) -> dict:
     rel = (R.power(x, n) == mat.identity
            and R.power(y, 4) == mat.identity
            and R.power(x, n // 2) == mat.mul(y, y)
-           and mat.mul(mat.mul(mat.inv(y), x), y) == mat.inv(x))
+           and conjugator(mat, y)(x) == mat.inv(x))
     rep.check("defining relations", True, rel)
     rep.check("c^2 = x^-1", True, mat.mul(c, c) == mat.inv(x))
 
@@ -219,22 +219,19 @@ def verify_quaternion_lemma(level: int) -> dict:
     predicted = set()
     for i in range(n):
         H = FiniteGroup.generate(mat, [x_2l, mat.mul(R.power(x, i), y)], cap=9)
-        predicted.add(tuple(sorted(H.elements)))
-    rep.check("Q8 subgroups are <x^(2^l), x^i y>", True, predicted == quats)
+        predicted.add(frozenset(H.elements))
+    rep.check("Q8 subgroups are <x^(2^l), x^i y>", True, predicted == quats.keys())
 
     # (e) two conjugacy classes of length 2^(l-1)
     Qp = FiniteGroup.generate(mat, [x_2l, mat.mul(x, y)], cap=9)
     orbits = []
-    remaining = set(quats)
-    while remaining:
-        orbit = set(_orbit(min(remaining), R.generators,
-                           lambda sub, g: tuple(sorted(R.conj(e, g) for e in sub)))[0])
-        orbits.append(orbit)
-        remaining -= orbit
+    for key, H in quats.items():
+        if not any(key in o for o in orbits):
+            orbits.append(subgroup_orbit(mat, R.generators, H).conjugates)
     lengths = sorted(len(o) for o in orbits)
     rep.check("two classes of length 2^(l-1)", [2 ** (level - 1)] * 2, lengths)
-    q_key = tuple(sorted(Q.elements))
-    qp_key = tuple(sorted(Qp.elements))
+    q_key = frozenset(Q.elements)
+    qp_key = frozenset(Qp.elements)
     split = any(q_key in o and qp_key not in o for o in orbits)
     rep.check("Q and Q' represent distinct classes", True, split)
 
@@ -250,7 +247,7 @@ def verify_quaternion_lemma(level: int) -> dict:
     rep.check("N_R(Q') = <Q', x^(2^(l-1))>", True, set(NQp.elements) == set(NQp_expected.elements))
 
     # conjugation by c swaps the two subgroup classes
-    c_conj = tuple(sorted(mat.mul(mat.mul(mat.inv(c), e), c) for e in Q.elements))
+    c_conj = frozenset(map(conjugator(mat, c), Q.elements))
     q_class = next(o for o in orbits if q_key in o)
     qp_class = next(o for o in orbits if qp_key in o)
     rep.check("c fuses the two classes", True, c_conj in qp_class and q_key in q_class)
@@ -283,8 +280,8 @@ def verify_torus_sequence(level: int) -> dict:
     rep.check("S/T order", 16, quotient.order)
     rep.check("S/T is C2 x D8", "isomorphism-verified", identify(quotient, target))
 
-    inverted = all(action.mul(model.d, action.mul(t, model.d)) == action.inv(t)
-                   for t in T.elements)
+    by_d = conjugator(action, model.d)
+    inverted = all(by_d(t) == action.inv(t) for t in T.elements)
     rep.check("d inverts T elementwise", True, inverted)
 
     rep.check("|Z| = 2", 2, model.z_group.order)
@@ -344,7 +341,7 @@ def _count_c4_cubed(S: FiniteGroup) -> int:
             H = S.subgroup([a, b])
             if H.order != 16:
                 continue
-            key = tuple(sorted(H.elements))
+            key = frozenset(H.elements)
             if key not in pairs_seen:
                 pairs_seen.add(key)
                 rank2.append((a, b, H))
@@ -358,7 +355,7 @@ def _count_c4_cubed(S: FiniteGroup) -> int:
                 continue
             sub = S.subgroup([a, b, c])
             if sub.order == 64 and abelian_invariants(sub) == (4, 4, 4):
-                found.add(tuple(sorted(sub.elements)))
+                found.add(frozenset(sub.elements))
     return len(found)
 
 

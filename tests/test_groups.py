@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solweights import groups
-from solweights.errors import CapExceeded, NotNormal
+from solweights.errors import CapExceeded, DoesNotNormalize, NotNormal, OrbitCapExceeded
 from solweights.fields import tower_field
 from solweights.groups import (
     CentralTripleAction,
@@ -18,6 +18,7 @@ from solweights.groups import (
     centralizer_of_subgroup,
     class_index_table,
     conjugacy_classes,
+    conjugator,
     derived_subgroup,
     double_cosets,
     frattini_subgroup,
@@ -454,13 +455,36 @@ def test_class_sizes_sum_and_centralizer_product():
 # -- orbits -----------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("case,kind", [
+    ("PermAction(0)", "perm"), ("PermAction(1)", "perm"), ("GL(4,2)", "perm"),
+    ("SL2(5)", "matrix"), ("S(l=0)", "central-triple"),
+])
+def test_conjugator_matches_two_products(sol0, case, kind):
+    if case.startswith("PermAction"):
+        # degrees 0 and 1 take the n < 2 branch of right_mul
+        G = FiniteGroup.generate(PermAction(int(case[-2])), [])
+    elif case == "S(l=0)":
+        G = sol0.sylow
+    else:
+        G = named_group(case)
+    act = G.action
+    assert act.kind == kind
+    rng = random.Random(case)
+    for _ in range(40):
+        g, x = rng.choice(G.elements), rng.choice(G.elements)
+        got = conjugator(act, g)(x)
+        assert type(got) is tuple
+        assert got == act.mul(act.mul(act.inv(g), x), g)
+
+
 def test_orbit_seven_cycle_in_a7():
     G = alternating_group(7)
-    points, perms = groups._orbit((1, 2, 3, 4, 5, 6, 0), G.generators, G.conj)
+    maps = [conjugator(G.action, g) for g in G.generators]
+    points, perms = groups._orbit((1, 2, 3, 4, 5, 6, 0), maps)
     assert len(points) == len(set(points)) == 360
-    for g, perm in zip(G.generators, perms):
-        assert all(points[perm[i]] == G.conj(x, g) for i, x in enumerate(points))
-    reached, _ = groups._orbit(0, perms, lambda i, perm: perm[i])
+    for conj, perm in zip(maps, perms):
+        assert all(points[perm[i]] == conj(x) for i, x in enumerate(points))
+    reached, _ = groups._orbit(0, [perm.__getitem__ for perm in perms])
     assert len(reached) == 360
     assert FiniteGroup.generate(PermAction(360), perms).order == G.order
 
@@ -674,8 +698,19 @@ def test_orbit_q8_in_sl2_5():
     assert Q.order == 8
     cert = subgroup_orbit(sl2.action, sl2.generators, Q, ambient_order=120)
     assert (cert.orbit_size, cert.normalizer_order) == (5, 24)
+    assert frozenset(Q.elements) in cert.conjugates
+    assert len(cert.conjugates) == 5 and all(len(c) == 8 for c in cert.conjugates)
     # oracle: exhaustive normalizer scan
     assert normalizer(sl2, Q).order == 24
+
+
+def test_subgroup_orbit_cap():
+    # the 5 Q8 subgroups of SL2(5) fit a cap of 5 and not one of 4
+    sl2 = named_group("SL2(5)")
+    Q = FiniteGroup.generate(sl2.action, [(2, 0, 0, 3), (0, 4, 1, 0)], cap=9)
+    assert subgroup_orbit(sl2.action, sl2.generators, Q, cap=5).orbit_size == 5
+    with pytest.raises(OrbitCapExceeded):
+        subgroup_orbit(sl2.action, sl2.generators, Q, cap=4)
 
 
 def test_orbit_stabilizer_product():
@@ -745,7 +780,7 @@ def test_double_cosets_match_reference_walk(spec, kind):
     S = sylow_subgroup(G, 2)
     if kind == "conjugate":
         g = random.Random(23).choice(G.elements)
-        S = FiniteGroup.from_elements(G.action, [G.conj(s, g) for s in S.elements])
+        S = FiniteGroup.from_elements(G.action, map(conjugator(G.action, g), S.elements))
     elif kind == "trivial":
         S = G.subgroup([])
     got = list(double_cosets(G, S))
@@ -788,6 +823,9 @@ def test_trivial_intersection_constant_on_cosets():
     S = sylow_subgroup(G, 2)
     for rep, _ in double_cosets(G, S):
         base = trivial_intersection(G, S, rep)
+        # oracle: S^rep meets S in the identity alone
+        conj = {G.mul(G.mul(G.inv(rep), s), rep) for s in S.elements}
+        assert base == (conj & set(S.elements) == {G.identity})
         for _ in range(3):
             s1 = rng.choice(S.elements)
             s2 = rng.choice(S.elements)
@@ -981,6 +1019,15 @@ def test_extend_iso_checks_partial_maps():
 # -- induced outer automorphisms --------------------------------------------------------
 
 
+def test_conjugation_permutation_needs_a_normalizer():
+    G = symmetric_group(4)
+    P = FiniteGroup.generate(G.action, [(1, 0, 2, 3)], cap=3)  # <(0 1)>
+    # (2 3) centralizes P; (1 2) moves (0 1) to (0 2), outside P
+    assert groups.conjugation_permutation(G.action, (0, 1, 3, 2), P) == (0, 1)
+    with pytest.raises(DoesNotNormalize):
+        groups.conjugation_permutation(G.action, (0, 2, 1, 3), P)
+
+
 def test_induced_outer_abelian_trivial():
     P = cyclic_group(6)
     out = induced_outer(P.generators, P)
@@ -1027,8 +1074,8 @@ def ref_induced_outer(N_generators, P, action=None):
     def key(phi):
         return min(pmul(psi, phi) for psi in inner.elements)
 
-    cosets, out_gens = groups._orbit(min(inner.elements), gen_perms,
-                                     lambda rep, gp: key(pmul(rep, gp)))
+    maps = [lambda rep, gp=gp: key(pmul(rep, gp)) for gp in gen_perms]
+    cosets, out_gens = groups._orbit(min(inner.elements), maps)
     return FiniteGroup.generate(PermAction(len(cosets)), out_gens)
 
 
@@ -1091,9 +1138,10 @@ def test_class_index_table_consistent():
     counts = Counter(table)
     for ci, c in enumerate(classes):
         assert counts[ci] == c.size
-    for i, e in enumerate(G.elements):
-        for g in G.generators:
-            assert table[G.index[G.conj(e, g)]] == table[i]
+    for g in G.generators:
+        conj = conjugator(G.action, g)
+        for i, e in enumerate(G.elements):
+            assert table[G.index[conj(e)]] == table[i]
 
 
 # -- subgroups of p-groups ----------------------------------------------------------------

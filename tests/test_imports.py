@@ -1,5 +1,5 @@
 """Every import in the package and its tests is used, and every function,
-module-level constant and class is read somewhere in the package."""
+module-level constant, class and method is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -64,7 +64,7 @@ def test_no_unused_locals():
 
 # entry points called only by the tests, the benchmark or the acceptance suite
 UNREFERENCED_OK = {"bound_check", "choice_invariance", "constant_functor", "cycle_type",
-                   "two_complement_shortcut", "centralizer"}
+                   "two_complement_shortcut", "centralizer", "n_shape", "all_equal"}
 
 
 def package_trees() -> list[ast.Module]:
@@ -102,6 +102,13 @@ def module_constants_and_classes(tree: ast.Module) -> set[str]:
     return {name for name in names if not (name.startswith("__") and name.endswith("__"))}
 
 
+def class_methods(tree: ast.Module) -> set[str]:
+    """Methods and properties of module-level classes, dunders excepted."""
+    return {node.name for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))}
+
+
 def test_every_function_is_referenced():
     trees = package_trees()
     defined = set().union(*map(module_functions, trees))
@@ -114,7 +121,18 @@ def test_every_module_constant_and_class_is_read():
     assert sorted(defined - read_names(trees) - UNREFERENCED_OK) == []
 
 
+def test_every_method_is_read():
+    """A method is read only as an attribute, so a local variable of the
+    same name does not count."""
+    trees = package_trees()
+    defined = set().union(*map(class_methods, trees))
+    attributes = {node.attr for tree in trees for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)}
+    assert sorted(defined - attributes - UNREFERENCED_OK) == []
+
+
 def test_unreferenced_allowlist_is_current():
     trees = package_trees()
-    defined = set().union(*map(module_functions, trees), *map(module_constants_and_classes, trees))
+    defined = set().union(*map(module_functions, trees), *map(module_constants_and_classes, trees),
+                          *map(class_methods, trees))
     assert sorted(UNREFERENCED_OK - defined) == []

@@ -192,9 +192,9 @@ def test_q8_search_matches_brute_force(level):
                 continue
             H = FiniteGroup.generate(mat, [a, b], cap=R.order + 1)
             if H.order == 8 and sum(1 for e in H.elements if H.element_order(e) == 2) == 1:
-                brute.add(tuple(sorted(H.elements)))
+                brute.add(frozenset(H.elements))
     assert len(brute) == 2 ** level
-    assert _q8_subgroups(R) == brute
+    assert _q8_subgroups(R).keys() == brute
 
 
 def test_inn_aut_orders_l0(radicals_report_l0):
