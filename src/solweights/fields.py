@@ -8,11 +8,11 @@ enc(a) + enc(b) * 5^(2^k).  Subfield elements keep their encoding under this
 convention, so embedding up the tower is the identity on encodings.
 
 Every field has add/mul/neg/inv tables, and its arithmetic indexes them.
-Prime fields and fields with at most TABLE_MAX elements fill them eagerly as
-lists (a tower level builds its rows from the base field's tables); larger
-levels fill them lazily by recursive pair arithmetic, entry by entry, as
-they are read (adequate here, since only small matrix groups live over the
-big levels).
+Prime fields fill them eagerly as lists.  Tower levels, GF(25) and up, fill
+them lazily by pair arithmetic over the base field's tables, entry by entry,
+as they are read: the pipeline's matrix groups read only a small share of
+a level's products (about a thousand of GF(625)'s 390,625 in the l = 1
+model), so whole tables would cost more to build than they save.
 """
 
 from __future__ import annotations
@@ -67,46 +67,18 @@ class FiniteField:
     # -- construction helpers ----------------------------------------------
 
     def _build_tables(self):
-        n = self.size
         if self.base is None:
-            add = [[(a + b) % n for b in range(n)] for a in range(n)]
-            mul = [[a * b % n for b in range(n)] for a in range(n)]
-            neg = [-a % n for a in range(n)]
-        elif n <= TABLE_MAX:
-            add, mul = self._tower_tables()
-            neg = [self._neg_slow(a) for a in range(n)]
+            n = self.size
+            self.add_table = [[(a + b) % n for b in range(n)] for a in range(n)]
+            self.mul_table = [[a * b % n for b in range(n)] for a in range(n)]
+            self.neg_table = [-a % n for a in range(n)]
+            self.inv_table = [0] + [self.mul_table[a].index(1) for a in range(1, n)]
         else:
             # rows and entries are computed on first read and kept
             self.add_table = _Memo(lambda a: _Memo(functools.partial(self._add_slow, a)))
             self.mul_table = _Memo(lambda a: _Memo(functools.partial(self._mul_slow, a)))
             self.neg_table = _Memo(self._neg_slow)
             self.inv_table = _Memo(self._inv_slow)
-            return
-        self.add_table, self.mul_table, self.neg_table = add, mul, neg
-        self.inv_table = [0] + [mul[a].index(1) for a in range(1, n)]
-
-    def _tower_tables(self) -> tuple[list[list[int]], list[list[int]]]:
-        # rows from the base field's tables; b = b0 + b1 * half runs with b1
-        # outer, so a row is the concatenation over b1 of runs in b0, and
-        # (a0 + a1 z)(b0 + b1 z) = (a0 b0 + a1 b1 w) + (a0 b1 + a1 b0) z.
-        # Entries are taken from enc[hi][lo] = lo + hi * half, so the tables
-        # share one int object per field element.
-        half = self.half
-        A, M = self.base.add_table, self.base.mul_table
-        w = self.base.omega
-        enc = [[lo + hi * half for lo in range(half)] for hi in range(half)]
-        add, mul = [], []
-        for a in range(self.size):
-            a0, a1 = self._split(a)
-            A0, A1, M0, M1, M1w = A[a0], A[a1], M[a0], M[a1], M[M[a1][w]]
-            row_a, row_m = [], []
-            for b1 in range(half):
-                row_a += map(enc[A1[b1]].__getitem__, A0)
-                lo, hi = A[M1w[b1]], A[M0[b1]]
-                row_m += [enc[hi[y]][lo[x]] for x, y in zip(M0, M1)]
-            add.append(row_a)
-            mul.append(row_m)
-        return add, mul
 
     def _check_irreducible(self):
         # z^2 - omega_base irreducible over the base iff omega_base is a
@@ -167,7 +139,8 @@ class FiniteField:
         return self._join(lo, hi)
 
     def _inv_slow(self, a: int) -> int:
-        # (a0 + a1 z)^-1 = (a0 - a1 z) / (a0^2 - w a1^2); 0 maps to 0, as on eager levels
+        # (a0 + a1 z)^-1 = (a0 - a1 z) / (a0^2 - w a1^2); 0 maps to 0, as in the
+        # prime fields' list tables
         A, M, N = self.base.add_table, self.base.mul_table, self.base.neg_table
         a0, a1 = self._split(a)
         d = self.base.inv_table[A[M[a0][a0]][N[M[self.base.omega][M[a1][a1]]]]]

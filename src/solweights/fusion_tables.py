@@ -32,7 +32,6 @@ class TableRow:
     label: str
     order_exp: str                      # affine expression in l, e.g. "9+2l"
     out: dict                           # system -> descriptor or None
-    source: str
 
     def order_exponent(self, l: int) -> int:
         return eval_exponent(self.order_exp, l)
@@ -40,7 +39,6 @@ class TableRow:
 
 @dataclass(frozen=True)
 class HasseDiagram:
-    level_tag: str
     nodes: list[tuple[str, str]]        # (label, order exponent expression)
     edges: list[tuple[str, str]]        # (lower, upper)
 
@@ -136,10 +134,10 @@ def _parse_table(text: str) -> list[TableRow]:
         parts = line.split("\t")
         if len(parts) != 6:
             raise ValidationFailure(f"malformed table row: {line!r}")
-        label, order_exp, out_h, out_k, out_f, source = parts
+        label, order_exp, out_h, out_k, out_f, _ = parts
         out = {s: (v if v != "-" else None)
                for s, v in zip(SYSTEMS, (out_h, out_k, out_f))}
-        rows.append(TableRow(label=label, order_exp=order_exp, out=out, source=source))
+        rows.append(TableRow(label=label, order_exp=order_exp, out=out))
     return rows
 
 
@@ -222,7 +220,7 @@ def load_hasse(tag: str) -> HasseDiagram:
             raise ValidationFailure(
                 f"hasse {tag}: edge {low}->{high} does not increase the order")
     # acyclicity follows from the strict exponent increase
-    return HasseDiagram(level_tag=tag, nodes=nodes, edges=edges)
+    return HasseDiagram(nodes=nodes, edges=edges)
 
 
 # ---------------------------------------------------------------------------

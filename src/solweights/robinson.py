@@ -218,11 +218,12 @@ def choice_invariance(G: FiniteGroup, runs: int = 20, seed: int = 0,
     report = InvarianceReport(group=name or G.name or "group",
                               baseline=base.gram_rank(), runs=runs)
     heavy = G.order > 4000
-    schedule = []
     n_gens = runs // 3 if not heavy else max(2, runs // 6)
     n_sylow = runs // 3 if not heavy else max(3, runs // 5)
     n_fpick = runs - n_gens - n_sylow
-    schedule += ["fpick"] * n_fpick + ["sylow"] * n_sylow + ["gens"] * n_gens
+    # a heavy group asks for at least 3 + 2 conjugate and regenerated runs;
+    # with runs < 5 the schedule is cut to runs
+    schedule = (["fpick"] * n_fpick + ["sylow"] * n_sylow + ["gens"] * n_gens)[:runs]
     for kind in schedule:
         if kind == "fpick":
             data = repick(base, rng)

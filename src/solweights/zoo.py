@@ -273,10 +273,9 @@ def quaternion_frame(level: int) -> QuaternionFrame:
 
 def quaternion_group(order: int) -> FiniteGroup:
     """Generalized quaternion group of the given order (8, 16, 32, or 64)."""
-    level = order.bit_length() - 4
-    if order != 1 << (level + 3) or not 0 <= level <= 3:
+    if order not in (8, 16, 32, 64):
         raise UnknownSpec(f"quaternion order must be 8, 16, 32 or 64, got {order}")
-    return quaternion_frame(level).R
+    return quaternion_frame(order.bit_length() - 4).R
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,7 @@ def test_unknown_group_exit_two(capsys):
     assert main(["defect-zero", "--group", "Q8"]) == 2
 
 
-@pytest.mark.parametrize("spec", ["GL(1,2)", "GL(0,2)", "C0", "D4"])
+@pytest.mark.parametrize("spec", ["GL(1,2)", "GL(0,2)", "C0", "D4", "quat(0)"])
 def test_degenerate_group_spec_exit_two(spec, capsys):
     assert main(["defect-zero", "--group", spec]) == 2
     assert "error: " in capsys.readouterr().err

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from solweights import groups
 from solweights.errors import CapExceeded, DoesNotNormalize, NotNormal, OrbitCapExceeded
-from solweights.fields import tower_field
+from solweights.fields import _Memo, tower_field
 from solweights.groups import (
     CentralTripleAction,
     FiniteGroup,
@@ -174,27 +174,27 @@ def test_perm_mul_matches_reference_fixed_degrees(n):
 @pytest.mark.parametrize("level", [0, 1])
 def test_triple_arithmetic_matches_reference(sol0, sol1, level):
     model = (sol0, sol1)[level]
-    assert isinstance(model.action.field.mul_table, list)
+    assert type(model.action.field.mul_table) is _Memo
     rng = random.Random(300 + level)
     elements = model_elements(model, rng, 500)
     check_arithmetic(model.action, elements, ref_triple_mul, ref_triple_inv, rng, 2000,
                      view=model.action.matrices)
 
 
-@pytest.mark.parametrize("level", [1, 2, 3, 4])
+@pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
 def test_matrix_arithmetic_matches_reference(level):
-    # GF(25) and GF(625) have eager tables; GF(5^8) and GF(5^16) fill their
-    # tables lazily
+    # GF(5) has list tables; every tower level above it fills its tables
+    # lazily
     act = MatrixAction(tower_field(level))
-    assert isinstance(act.field.mul_table, list) == (level < 3)
+    assert type(act.field.mul_table) is (list if level == 0 else _Memo)
     rng = random.Random(400 + level)
     elements = [random_invertible(act.field, rng) for _ in range(300)]
     check_arithmetic(act, elements, ref_mat_mul, ref_mat_inv, rng, 500)
 
 
-@pytest.mark.parametrize("level", [1, 2, 4])
+@pytest.mark.parametrize("level", [0, 1, 2, 4])
 def test_matrix_inverse_singular_raises(level):
-    # eager tables (GF(25), GF(625)) fail like lazily filled ones (GF(5^16))
+    # list tables (GF(5)) fail like lazily filled ones (GF(25) and up)
     with pytest.raises(ZeroDivisionError):
         MatrixAction(tower_field(level)).inv((1, 2, 1, 2))
 

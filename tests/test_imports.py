@@ -1,5 +1,6 @@
 """Every import in the package and its tests is used, and every function,
-module-level constant, class and method is read somewhere in the package."""
+module-level constant, class, method and dataclass field is read somewhere
+in the package."""
 
 import ast
 from pathlib import Path
@@ -85,6 +86,11 @@ def read_names(trees: list[ast.Module]) -> set[str]:
     return read
 
 
+def attribute_names(trees: list[ast.Module]) -> set[str]:
+    return {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+
+
 def module_functions(tree: ast.Module) -> set[str]:
     return {node.name for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
@@ -109,6 +115,19 @@ def class_methods(tree: ast.Module) -> set[str]:
             and not (node.name.startswith("__") and node.name.endswith("__"))}
 
 
+def is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in cls.decorator_list)
+
+
+def dataclass_fields(tree: ast.Module) -> set[str]:
+    """Annotated fields of module-level dataclasses."""
+    return {node.target.id for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and is_dataclass(cls)
+            for node in cls.body if isinstance(node, ast.AnnAssign)}
+
+
 def test_every_function_is_referenced():
     trees = package_trees()
     defined = set().union(*map(module_functions, trees))
@@ -126,9 +145,21 @@ def test_every_method_is_read():
     same name does not count."""
     trees = package_trees()
     defined = set().union(*map(class_methods, trees))
-    attributes = {node.attr for tree in trees for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute)}
-    assert sorted(defined - attributes - UNREFERENCED_OK) == []
+    assert sorted(defined - attribute_names(trees) - UNREFERENCED_OK) == []
+
+
+# fields read only through asdict (``path``), by the tests (``raw_counts``) or
+# by the benchmark (``runs``)
+UNREAD_FIELDS_OK = {"path", "raw_counts", "runs"}
+
+
+def test_every_dataclass_field_is_read():
+    """A field counts only as an attribute, so the keyword that sets it in a
+    constructor call does not."""
+    trees = package_trees()
+    defined = set().union(*map(dataclass_fields, trees))
+    assert sorted(defined - attribute_names(trees) - UNREAD_FIELDS_OK) == []
+    assert sorted(UNREAD_FIELDS_OK - defined) == []
 
 
 def test_unreferenced_allowlist_is_current():

@@ -135,6 +135,15 @@ def test_choice_invariance_light():
     assert rep2.all_equal and rep2.baseline == 4
 
 
+@pytest.mark.parametrize("runs", [0, 1, 4])
+def test_choice_invariance_runs_exactly_runs(runs):
+    # S7 is heavy (order > 4000), whose schedule asks for at least five
+    # variations; fewer runs must still mean exactly that many
+    rep = choice_invariance(named_group("S7"), runs=runs, seed=3)
+    assert rep.runs == len(rep.ranks) == len(rep.variations) == runs
+    assert rep.all_equal
+
+
 @pytest.mark.parametrize("spec", ["S6", "wr(S3,S3)"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_repick_matches_full_recompute(spec, seed):

@@ -1,4 +1,9 @@
+from dataclasses import replace
+
 from conftest import failing
+
+from solweights import solmodel
+from solweights.fusion_tables import load_tables
 
 
 def test_k_radicals_l0_all_pass(radicals_report_l0):
@@ -9,6 +14,17 @@ def test_k_radicals_out_orders(radicals_report_l0):
     assert radicals_report_l0["out_orders"] == {
         "S": 1, "Q": 324, "QR": 18, "QR*": 6, "C_S(U)": 6,
     }
+
+
+def test_k_radicals_l0_expect_the_table_k_column(monkeypatch):
+    # the expected |Out_K(P)| and isomorphism type come from the K column
+    # that the weight count reads, so a wrong entry there fails its row
+    tables = load_tables()
+    rows = [replace(row, out={**row.out, "K": "S5"}) if row.label == "QR*" else row
+            for row in tables["l0"]]
+    monkeypatch.setattr(solmodel, "load_tables", lambda: {**tables, "l0": rows})
+    report = solmodel.verify_k_radicals_l0.__wrapped__()
+    assert [c["check"] for c in failing(report)] == ["|Out_K(QR*)|", "Out_K(QR*) type"]
 
 
 def test_orbit_certification_l0(radicals_report_l0):
