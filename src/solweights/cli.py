@@ -94,13 +94,15 @@ def cmd_verify(args):
             verify_torus_sequence,
         )
 
-        checks = list(verify_torus_sequence(args.l)["checks"])
+        torus = verify_torus_sequence(args.l)
+        checks = list(torus["checks"])
         if args.l == 0:
             checks += sectional_rank_certificate()["checks"]
             checks += verify_k_radicals_l0()["checks"]
         else:
             checks += spotcheck_l1()["checks"]
-        return "verify-sol", {"l": args.l}, {"checks_run": len(checks)}, checks
+        return ("verify-sol", {"l": args.l},
+                {"checks_run": len(checks), "skipped": torus["skipped"]}, checks)
     raise SolweightsError(f"unknown verify target {args.target!r}")
 
 

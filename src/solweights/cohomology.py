@@ -30,7 +30,6 @@ from dataclasses import asdict, dataclass, field
 from .errors import Inconclusive, UnsupportedSylow, WrongSylowShape
 from .groups import (
     FiniteGroup,
-    _commutes_with,
     _discrete_log_table,
     _greedy,
     _greedy_generators,
@@ -38,6 +37,7 @@ from .groups import (
     abelian_invariants,
     conjugator,
     derived_subgroup,
+    is_abelian,
     is_normal,
     maximal_subgroups,
     normalizer,
@@ -168,7 +168,7 @@ def h2_abelian_sylow(G: FiniteGroup, p: int, basis: list[tuple] | None = None,
     if P.order == 1:
         return H2Certificate(gname, p, 0, "cyclic-sylow-vanishing",
                              notes=["trivial Sylow subgroup"])
-    invs = abelian_invariants(P) if _is_abelian(P) else None
+    invs = abelian_invariants(P) if is_abelian(P) else None
     if invs is not None and len(invs) == 1:
         # cyclic case: automorphism t -> t^k acts on H^1 and H^2 by k
         N = normalizer(G, P)
@@ -203,10 +203,6 @@ def h2_abelian_sylow(G: FiniteGroup, p: int, basis: list[tuple] | None = None,
         return cert
     raise UnsupportedSylow(
         f"Sylow {p}-subgroup of {gname} is neither cyclic nor elementary abelian of rank <= 3")
-
-
-def _is_abelian(P: FiniteGroup) -> bool:
-    return all(map(_commutes_with(P, P.generators), P.generators))
 
 
 def _coset_exponent(G: FiniteGroup, N: Container[tuple], g: tuple, x: tuple) -> int:
@@ -293,9 +289,9 @@ def _wreath_base(G: FiniteGroup, W: FiniteGroup) -> FiniteGroup | None:
                                     marks={"v_basis": list(marks)})
         if base.order == 27:
             return base
-    if _is_abelian(W):
+    if is_abelian(W):
         return None
-    return next((M for M in maximal_subgroups(W) if _is_abelian(M) and M.exponent() == 3),
+    return next((M for M in maximal_subgroups(W) if is_abelian(M) and M.exponent() == 3),
                 None)
 
 
@@ -394,7 +390,7 @@ def odd_h2_kx(G: FiniteGroup, name: str | None = None) -> KxCertificate:
         cert = h2_dim(G, p, name=gname)
         if cert.dim:
             P = sylow_subgroup(G, p)
-            if _is_abelian(P) and P.exponent() == p:
+            if is_abelian(P) and P.exponent() == p:
                 cert.notes.append(
                     f"k^x conversion: restriction to the Sylow {p}-subgroup is "
                     f"injective on the {p}-part (index {G.order // P.order} coprime "

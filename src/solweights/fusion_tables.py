@@ -15,6 +15,7 @@ automorphism group in a column and sum them.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -81,20 +82,10 @@ def _parse_descriptor(desc: str) -> str:
         return _DESCRIPTOR_MAP[d]
     if re.fullmatch(r"[SACD]\d+", d):
         return d
-    # strip one layer of outer parentheses when balanced
-    if d.startswith("(") and d.endswith(")"):
-        depth = 0
-        balanced = True
-        for i, ch in enumerate(d):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0 and i != len(d) - 1:
-                    balanced = False
-                    break
-        if balanced:
-            return _parse_descriptor(d[1:-1])
+    # strip outer parentheses that wrap it all: the depth first returns to 0 at the end
+    depths = itertools.accumulate((ch == "(") - (ch == ")") for ch in d)
+    if d.startswith("(") and next((i for i, n in enumerate(depths) if not n), None) == len(d) - 1:
+        return _parse_descriptor(d[1:-1])
     # split on top-level ' x '
     parts = split_top(d, " x ")
     if len(parts) > 1:

@@ -821,9 +821,17 @@ def derived_subgroup(G: FiniteGroup) -> FiniteGroup:
     return _normal_closure(G, sorted(comms))
 
 
+def is_abelian(G: FiniteGroup) -> bool:
+    """Whether the generators of G commute pairwise."""
+    return all(map(_commutes_with(G, G.generators), G.generators))
+
+
 def abelian_invariants(A: FiniteGroup) -> tuple[int, ...]:
     """Invariant factors (d1 >= d2 >= ..., each dividing the previous) of an
-    abelian group, by repeatedly splitting off an element of maximal order."""
+    abelian group, by repeatedly splitting off an element of maximal order.
+    Raises ValueError when A is not abelian."""
+    if not is_abelian(A):
+        raise ValueError(f"{A!r} is not abelian")
     factors = []
     current = A
     while current.order > 1:
@@ -923,18 +931,21 @@ def maximal_subgroups(P: FiniteGroup) -> list[FiniteGroup]:
     return out
 
 
+def subgroup_levels(P: FiniteGroup) -> Iterator[list[FiniteGroup]]:
+    """The subgroups of a p-group P of index p^k, for k = 0, 1, ... while
+    any are left: a subgroup of index p^(k+1) is maximal in one of index
+    p^k, so each level is the maximal subgroups of the one before, kept once
+    by element set."""
+    level = [P]
+    while level:
+        yield level
+        level = list({frozenset(M.elements): M for H in level
+                      for M in maximal_subgroups(H)}.values())
+
+
 def subgroups(P: FiniteGroup) -> list[FiniteGroup]:
-    """Every subgroup of a p-group P, P first: each proper subgroup of a
-    p-group lies in a maximal one, so descending through maximal subgroups
-    from P reaches them all; each is kept once, by element set."""
-    seen = {frozenset(P.elements): P}
-    frontier = [P]
-    while frontier:
-        new = {key: M for H in frontier for M in maximal_subgroups(H)
-               if (key := frozenset(M.elements)) not in seen}
-        seen.update(new)
-        frontier = list(new.values())
-    return list(seen.values())
+    """Every subgroup of a p-group P, level by level from P itself."""
+    return [H for level in subgroup_levels(P) for H in level]
 
 
 # ---------------------------------------------------------------------------

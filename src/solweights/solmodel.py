@@ -23,6 +23,7 @@ dicts {check, l, expected, computed, pass} so the CLI can emit them directly.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -40,11 +41,13 @@ from .groups import (
     frattini_subgroup,
     identify,
     induced_outer,
+    is_abelian,
     is_normal,
     isomorphic,
     maximal_subgroups,
     normalizer,
     quotient_group,
+    subgroup_levels,
     subgroup_orbit,
     subgroups,
     sylow_subgroup,
@@ -263,7 +266,8 @@ def verify_quaternion_lemma(level: int) -> dict:
 @cached_per_cap
 def verify_torus_sequence(level: int) -> dict:
     """Torus structure, the quotient type of S/T, the rank sequence, and the
-    uniqueness searches (exhaustive at l = 0, skipped with a flag at l = 1)."""
+    uniqueness counts (``_count_normal_four_subgroups``, ``_count_torus_copies``):
+    exhaustive at l = 0, skipped with a flag in ``skipped`` at l = 1."""
     rep = _Report("verify-torus", level)
     model = build_sol_model(level)
     S, T = model.sylow, model.torus
@@ -299,7 +303,7 @@ def verify_torus_sequence(level: int) -> dict:
 
     if level == 0:
         rep.check("unique normal four subgroup", 1, _count_normal_four_subgroups(S))
-        rep.check("unique homocyclic C4^3 subgroup", 1, _count_c4_cubed(S))
+        rep.check("unique homocyclic C4^3 subgroup", 1, _count_torus_copies(S, T, quotient))
     else:
         skipped.append("uniqueness searches (normal four subgroup, homocyclic "
                        "rank-3 subgroup) are exhaustive at l = 0 only")
@@ -327,35 +331,28 @@ def _count_normal_four_subgroups(S: FiniteGroup) -> int:
                if V.order == 4 and V.exponent() == 2 and is_normal(S, V))
 
 
-def _count_c4_cubed(S: FiniteGroup) -> int:
-    """Exhaustive count of subgroups of S isomorphic to C4 x C4 x C4."""
-    action = S.action
-    order4 = [e for e in S.elements if S.element_order(e) == 4]
-    pairs_seen = set()
-    rank2 = []
-    for i, a in enumerate(order4):
-        for b in order4[i + 1:]:
-            if action.mul(a, b) != action.mul(b, a):
-                continue
-            # commuting a, b of order 4 give C4 x C4 iff <a, b> has order 16
-            H = S.subgroup([a, b])
-            if H.order != 16:
-                continue
-            key = frozenset(H.elements)
-            if key not in pairs_seen:
-                pairs_seen.add(key)
-                rank2.append((a, b, H))
+def _count_torus_copies(S: FiniteGroup, T: FiniteGroup, quotient: FiniteGroup) -> int:
+    """The number of subgroups of S isomorphic to its abelian normal
+    subgroup T, given quotient = S/T.
+
+    Let H be such a subgroup.  HT/T is isomorphic to H/(H meet T), a quotient
+    of H and so abelian, and it is a subgroup of S/T; so |T : H meet T| =
+    |H : H meet T| <= b, the largest order of an abelian subgroup of S/T.
+    H is abelian, so H <= C_S(H meet T).  So every such H is a subgroup of
+    order |T| of C_S(A0) for some A0 <= T with |T : A0| <= b, and the count
+    filters those levels of the subgroup descent of each container C_S(A0).
+    """
+    bound = max(Q.order for Q in subgroups(quotient) if is_abelian(Q))
+    near = itertools.takewhile(lambda level: T.order <= bound * level[0].order,
+                               subgroup_levels(T))
+    centralizers = (centralizer_of_subgroup(S, A0) for level in near for A0 in level)
+    containers = {frozenset(C.elements): C for C in centralizers}
+    invariants = abelian_invariants(T)
     found = set()
-    for a, b, H in rank2:
-        for c in order4:
-            if c in H.index:
-                continue
-            if (action.mul(a, c) != action.mul(c, a)
-                    or action.mul(b, c) != action.mul(c, b)):
-                continue
-            sub = S.subgroup([a, b, c])
-            if sub.order == 64 and abelian_invariants(sub) == (4, 4, 4):
-                found.add(frozenset(sub.elements))
+    for C in containers.values():
+        level = next(L for L in subgroup_levels(C) if L[0].order == T.order)
+        found.update(frozenset(H.elements) for H in level
+                     if is_abelian(H) and abelian_invariants(H) == invariants)
     return len(found)
 
 

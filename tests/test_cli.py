@@ -119,6 +119,14 @@ def test_bad_level_exit_two(argv, capsys):
     assert "nonnegative integer" in capsys.readouterr().err
 
 
+def test_verify_sol_reports_skipped_searches(torus_report_l1, spotcheck_report_l1, capsys):
+    # the session fixtures fill the memoized reports, so main only reads them
+    code, out = run_cli(["--json", "verify", "sol", "--l", "1"], capsys)
+    assert code == 0
+    skipped = json.loads(out)["results"]["skipped"]
+    assert skipped and skipped == torus_report_l1["skipped"]
+
+
 @pytest.mark.parametrize("target, l", [("quaternion", "0"), ("sol", "2")])
 def test_verify_level_out_of_range_exit_two(target, l, capsys):
     assert main(["verify", target, "--l", l]) == 2

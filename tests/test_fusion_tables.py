@@ -35,6 +35,8 @@ def test_eval_exponent():
     ("(C3xC3):-1:C2", 18),
     ("(S3 wr C2) x S3", 432),
     ("S3 x (S3 wr C2)", 432),
+    ("((S3 wr C2) x S3)", 432),
+    ("(S3) x (S3)", 36),  # starts and ends with a parenthesis but is not wrapped
     ("S3 x S3 x S3", 216),
     ("GL3(2)", 168),
     ("GL4(2)", 20160),

@@ -24,11 +24,13 @@ from solweights.groups import (
     frattini_subgroup,
     identify,
     induced_outer,
+    is_abelian,
     isomorphic,
     maximal_subgroups,
     normalizer,
     quotient_group,
     right_cosets,
+    subgroup_levels,
     subgroup_orbit,
     subgroups,
     sylow_subgroup,
@@ -1119,6 +1121,15 @@ def test_derived_and_abelian_invariants():
     D = derived_subgroup(G)
     assert D.order == 12
     assert abelian_invariants(quotient_group(G, D)) == (2,)
+    assert abelian_invariants(named_group("x(C4,C4)")) == (4, 4)
+
+
+@pytest.mark.parametrize("spec", ["S3", "D8", "quat(8)", "S4"])
+def test_abelian_invariants_rejects_nonabelian_groups(spec):
+    G = named_group(spec)
+    assert not is_abelian(G)
+    with pytest.raises(ValueError, match="not abelian"):
+        abelian_invariants(G)
 
 
 @pytest.mark.parametrize("spec,order", [("S3", 1), ("S4", 4), ("D8", 8), ("x(C2,S3)", 2)])
@@ -1188,6 +1199,20 @@ def test_subgroups_match_frontier_walk(case):
     assert len(found) == len(set(found))  # each subgroup once
     assert set(found) == set(element_sets(all_subgroups_reference(P)))
     assert found[0] == frozenset(P.elements)
+
+
+@pytest.mark.parametrize("case", P_GROUPS)
+def test_subgroup_levels_are_the_subgroups_of_each_order(case):
+    P = p_group(case)
+    p = 3 if P.order % 3 == 0 else 2
+    reference = all_subgroups_reference(P)
+    levels = list(subgroup_levels(P))
+    assert sum(map(len, levels)) == len(reference)
+    for k, level in enumerate(levels):
+        found = element_sets(level)
+        assert len(found) == len(set(found))
+        assert set(found) == {frozenset(H.elements) for H in reference
+                              if H.order * p ** k == P.order}
 
 
 @pytest.mark.parametrize("case", P_GROUPS)

@@ -3,7 +3,8 @@ import pytest
 from solweights import solmodel
 from solweights.fields import field_tower
 from solweights.groups import (
-    FiniteGroup, MatrixAction, center, is_normal, normalizer,
+    FiniteGroup, MatrixAction, abelian_invariants, center, is_abelian, is_normal,
+    normalizer, quotient_group, subgroups,
 )
 from solweights.solmodel import _q8_subgroups, build_sol_model
 from solweights.zoo import named_group, sl2_group
@@ -143,6 +144,26 @@ def normal_four_subgroups_reference(S):
 def test_normal_four_subgroups_lie_in_second_centre(spec):
     S = named_group(spec)
     assert solmodel._count_normal_four_subgroups(S) == normal_four_subgroups_reference(S)
+
+
+def torus_copies_reference(S, T):
+    """The subgroups of S isomorphic to the abelian group T, by filtering
+    every subgroup of S by order, commutativity and invariants."""
+    return sum(1 for H in subgroups(S) if H.order == T.order and is_abelian(H)
+               and abelian_invariants(H) == abelian_invariants(T))
+
+
+@pytest.mark.parametrize("spec,invariants,count", [
+    ("x(C2,x(C4,C4))", (4, 4), 4), ("wr(C4,C2)", (4, 4), 1), ("x(C4,D8)", (4, 4), 1),
+    ("D16", (8,), 1), ("quat(16)", (8,), 1),
+    # copies H with H meet T < T, outside C_S(T): the index bound matters
+    ("quat(8)", (4,), 3), ("D8", (2, 2), 2)])
+def test_torus_copies_match_brute_force(spec, invariants, count):
+    S = named_group(spec)
+    # T is the first subgroup with these invariants; it is normal in each case
+    T = next(H for H in subgroups(S) if is_abelian(H) and abelian_invariants(H) == invariants)
+    found = solmodel._count_torus_copies(S, T, quotient_group(S, T))
+    assert found == torus_copies_reference(S, T) == count
 
 
 def test_center_of_sylow(sol0, sol1):
