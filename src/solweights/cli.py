@@ -95,12 +95,8 @@ def cmd_verify(args):
         )
 
         torus = verify_torus_sequence(args.l)
-        checks = list(torus["checks"])
-        if args.l == 0:
-            checks += sectional_rank_certificate()["checks"]
-            checks += verify_k_radicals_l0()["checks"]
-        else:
-            checks += spotcheck_l1()["checks"]
+        checks = torus["checks"] + sectional_rank_certificate(args.l)["checks"]
+        checks += (verify_k_radicals_l0() if args.l == 0 else spotcheck_l1())["checks"]
         return ("verify-sol", {"l": args.l},
                 {"checks_run": len(checks), "skipped": torus["skipped"]}, checks)
     raise SolweightsError(f"unknown verify target {args.target!r}")

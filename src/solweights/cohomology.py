@@ -152,8 +152,7 @@ def _h2_basis_labels(rank: int) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def h2_abelian_sylow(G: FiniteGroup, p: int, basis: list[tuple] | None = None,
-                     name: str | None = None) -> H2Certificate:
+def h2_abelian_sylow(G: FiniteGroup, p: int, name: str | None = None) -> H2Certificate:
     """H^2(G, F_p) for odd p when the Sylow p-subgroup is cyclic or
     elementary abelian of rank 2 or 3 (stable elements over an abelian
     Sylow subgroup)."""
@@ -161,10 +160,8 @@ def h2_abelian_sylow(G: FiniteGroup, p: int, basis: list[tuple] | None = None,
         raise UnsupportedSylow("odd primes only")
     P = sylow_subgroup(G, p)
     gname = name or G.name or "group"
-    if basis is None:
-        marked = G.marks.get("v_basis")
-        if marked and all(m in P.index for m in marked):
-            basis = list(marked)
+    marked = G.marks.get("v_basis")
+    basis = list(marked) if marked and all(m in P.index for m in marked) else None
     if P.order == 1:
         return H2Certificate(gname, p, 0, "cyclic-sylow-vanishing",
                              notes=["trivial Sylow subgroup"])
@@ -187,7 +184,7 @@ def h2_abelian_sylow(G: FiniteGroup, p: int, basis: list[tuple] | None = None,
         return cert
     if invs is not None and all(d == p for d in invs) and len(invs) in (2, 3):
         rank = len(invs)
-        mats, basis = action_matrices(G, P, p, basis=basis)
+        mats, _ = action_matrices(G, P, p, basis=basis)
         blocks = h2_module_matrices(p, mats, rank)
         fixed = fixed_space(p, blocks, rank + rank * (rank - 1) // 2)
         cert = H2Certificate(gname, p, len(fixed), "elementary-abelian-invariants",

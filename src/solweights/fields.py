@@ -18,6 +18,7 @@ model), so whole tables would cost more to build than they save.
 from __future__ import annotations
 
 import functools
+import random
 
 TABLE_MAX = 1024
 
@@ -92,8 +93,6 @@ class FiniteField:
     def _verify_axioms(self):
         # seeded associativity/distributivity spot checks; inverses are
         # checked exhaustively on fields of at most TABLE_MAX elements
-        import random
-
         rng = random.Random(self.size)
         for _ in range(24):
             a = rng.randrange(self.size)

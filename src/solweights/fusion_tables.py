@@ -9,13 +9,15 @@ the two local systems, and the exponent consistency between tables and
 diagrams.
 
 Weight counts evaluate the defect-zero block count of every resolved outer
-automorphism group in a column and sum them.
+automorphism group in a column and sum them; ``solmodel.bound_check`` holds
+the count against 2^s(S).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import json
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -215,7 +217,7 @@ def load_hasse(tag: str) -> HasseDiagram:
 
 
 # ---------------------------------------------------------------------------
-# weights and the rank bound
+# weights
 # ---------------------------------------------------------------------------
 
 
@@ -246,32 +248,6 @@ def weight_count(system: str, l: int) -> dict:
     return {"system": system, "l": l, "total": total, "rows": per_row}
 
 
-def bound_check(l: int, sectional_rank: int | None = None) -> dict:
-    """Check the weight count against 2^(sectional rank).
-
-    At l = 0 the rank comes from the computed certificate; at l >= 1 the
-    caller passes the data-sourced value and the report flags it.
-    """
-    from .solmodel import sectional_rank_certificate
-
-    flagged = False
-    if l == 0:
-        cert = sectional_rank_certificate()
-        rank = cert["upper"]
-    else:
-        rank = 6 if sectional_rank is None else sectional_rank
-        flagged = True
-    w = weight_count("F", l)["total"]
-    return {
-        "l": l,
-        "weight": w,
-        "sectional_rank": rank,
-        "bound": 2 ** rank,
-        "pass": w <= 2 ** rank,
-        "rank_source": "table-data (flagged)" if flagged else "computed certificate",
-    }
-
-
 # ---------------------------------------------------------------------------
 # Hasse export
 # ---------------------------------------------------------------------------
@@ -284,8 +260,6 @@ def hasse_export(l: int, fmt: str = "dot") -> str:
     nodes = sorted(diagram.nodes, key=lambda n: (eval_exponent(n[1], l), n[0]))
     edges = sorted(diagram.edges)
     if fmt == "json":
-        import json
-
         return json.dumps({
             "l": l,
             "nodes": [{"label": lab, "order_exponent": exp,

@@ -196,10 +196,10 @@ class CentralTripleAction:
     Elements are (c1, c2, c3, pi): each c is the code ((a n + b) n + c) n + d
     of a 2x2 matrix (a, b, c, d) over the field, n = |F|, and pi is a
     permutation tuple of (0, 1, 2).  The code is big-endian in the entries,
-    so codes compare like the matrix tuples.  ``make`` and ``canonical`` take
-    matrix tuples, and ``matrices`` decodes an element back into them.  The
-    product permutes the second factor's matrix triple by the first factor's
-    pi before multiplying componentwise; pi parts compose as functions, by a
+    so codes compare like the matrix tuples.  ``make`` takes matrix tuples,
+    and ``matrices`` decodes an element back into them.  The product
+    permutes the second factor's matrix triple by the first factor's pi
+    before multiplying componentwise; pi parts compose as functions, by a
     table of the six permutations, so products share their pi tuples.  Of
     the two central representatives, the one whose first nonzero entry v of
     (m1, m2, m3) satisfies v < -v is stored; that entry is where the two
@@ -255,11 +255,8 @@ class CentralTripleAction:
             return (N[c1], N[c2], N[c3], pi)
         return (c1, c2, c3, pi)
 
-    def canonical(self, m1: Element, m2: Element, m3: Element, pi: Element) -> Element:
-        return self._canonical(self._encode(m1), self._encode(m2), self._encode(m3), pi)
-
     def make(self, m1: Element, m2: Element, m3: Element, pi: Element = (0, 1, 2)) -> Element:
-        return self.canonical(m1, m2, m3, pi)
+        return self._canonical(self._encode(m1), self._encode(m2), self._encode(m3), pi)
 
     def matrices(self, x: Element) -> tuple:
         """The element as (m1, m2, m3, pi) with flat 2x2 matrix tuples."""

@@ -19,9 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import accumulate
 
+from .cohomology import h2_dim, odd_h2_kx
 from .errors import CyclicInput, MissingCertificate, NotAFunctor
+from .fusion_tables import load_hasse, load_tables, resolve_out_descriptor
 from .groups import FiniteGroup, cached_per_cap, normalizer, sylow_subgroup
 from .linalg import mat_mul, rank
+from .zoo import named_group
 
 Chain = tuple[str, ...]
 
@@ -243,8 +246,6 @@ def lim_dimension(F: ChainFunctor) -> int:
 def _a7_four_group():
     """The four-group of A7 whose normalizer certifies the map out of R; one
     object per cap, so a repeat call finds its normalizer in A7's memo."""
-    from .zoo import named_group
-
     return FiniteGroup.generate(named_group("A7").action,
                                 [(1, 0, 3, 2, 4, 5, 6), (2, 3, 0, 1, 4, 5, 6)], cap=5)
 
@@ -262,10 +263,6 @@ def verify_lim_A2(l: int) -> dict:
     has index coprime to 3, making restriction injective.  Criterion (b)
     then applies, and the assembled cochain complex cross-checks it.
     """
-    from .cohomology import h2_dim, odd_h2_kx
-    from .fusion_tables import load_hasse, load_tables, resolve_out_descriptor
-    from .zoo import named_group
-
     tables = load_tables()
     caveats = ["chain classes are identified with class-label sequences; exact "
                "on the support because the three supporting classes are weakly "

@@ -27,11 +27,10 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .fusion_tables import load_tables, resolve_out_descriptor
+from .fusion_tables import load_tables, resolve_out_descriptor, weight_count
 from .groups import (
     CentralTripleAction,
     FiniteGroup,
-    MatrixAction,
     abelian_invariants,
     cached_per_cap,
     center,
@@ -61,7 +60,6 @@ from .zoo import named_group, quaternion_frame, sl2_group
 class SolModel:
     level: int
     action: CentralTripleAction
-    mat_action: MatrixAction
     x: tuple                     # diag(omega, omega^-1) over F_{q^2}
     y: tuple                     # antidiagonal (0, -1; 1, 0)
     c: tuple                     # diag(z^-1, z), c^2 = x^-1
@@ -157,7 +155,7 @@ def build_sol_model(level: int) -> SolModel:
     k_order = 6 * (q * (q - 1) * (q + 1)) ** 3
 
     return SolModel(
-        level=level, action=action, mat_action=mat, x=x, y=y, c=c,
+        level=level, action=action, x=x, y=y, c=c,
         k_generators=k_gens, k_order=k_order, sylow=sylow, r0=r0,
         torus=torus, z_group=z_group, u_group=u_group, e_group=e_group,
         a_group=a_group, d=d, tau=tau, tau_prime=action.mul(d, tau), rho=rho,
@@ -362,12 +360,13 @@ def _count_torus_copies(S: FiniteGroup, T: FiniteGroup, quotient: FiniteGroup) -
 
 
 @cached_per_cap
-def sectional_rank_certificate() -> dict:
-    """Pin s(S) = 6 at l = 0: a rank-6 elementary abelian section from the
-    Frattini quotient of R0, and the bound s(T) + s(S/T) = 3 + 3 from every
-    subgroup of the order-16 quotient."""
-    rep = _Report("sectional-rank", 0)
-    model = build_sol_model(0)
+def sectional_rank_certificate(level: int) -> dict:
+    """Pin s(S) = 6 at l in {0, 1}.  The lower bound is the rank of the
+    Frattini quotient R0/Phi(R0), an elementary abelian section of S; the
+    upper bound is s(T) + s(S/T) = 3 + 3, since s(S) <= s(T) + s(S/T) for T
+    normal in S, with s(S/T) from every subgroup of the order-16 quotient."""
+    rep = _Report("sectional-rank", level)
+    model = build_sol_model(level)
 
     frat_quot = quotient_group(model.r0, frattini_subgroup(model.r0))
     rep.check("R0 Frattini quotient rank", (2,) * 6, abelian_invariants(frat_quot))
@@ -383,6 +382,15 @@ def sectional_rank_certificate() -> dict:
     upper = t_rank + qs_rank
     rep.check("6 <= s(S) <= 6", (6, 6), (lower, upper))
     return rep.done(lower=lower, upper=upper)
+
+
+def bound_check(level: int) -> dict:
+    """The weight count w(F, l) against the bound 2^s(S), with s(S) the
+    upper bound of the sectional-rank certificate."""
+    rank = sectional_rank_certificate(level)["upper"]
+    w = weight_count("F", level)["total"]
+    return {"l": level, "weight": w, "sectional_rank": rank, "bound": 2 ** rank,
+            "pass": w <= 2 ** rank}
 
 
 def _sectional_rank_exhaustive(G: FiniteGroup) -> int:
@@ -499,7 +507,7 @@ def spotcheck_l1() -> dict:
     rep = _Report("spotcheck", 1)
     model = build_sol_model(1)
     action = model.action
-    mat = model.mat_action
+    mat = action.mat
 
     rep.check("|S| = 2^13", 8192, model.sylow.order)
 

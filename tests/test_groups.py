@@ -223,9 +223,9 @@ def test_canonical_singular_first_factor(level):
         if k % 2:
             ms[0] = (0, 0) + ms[0][2:]
         pi = tuple(rng.sample(range(3), 3))
-        assert act.matrices(act.canonical(*ms, pi)) == ref_canonical(f, ms, pi)
+        assert act.matrices(act.make(*ms, pi)) == ref_canonical(f, ms, pi)
     zero = (0, 0, 0, 0)
-    assert (act.matrices(act.canonical(zero, zero, zero, (0, 1, 2)))
+    assert (act.matrices(act.make(zero, zero, zero))
             == (zero, zero, zero, (0, 1, 2)))
 
 

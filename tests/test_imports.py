@@ -1,6 +1,7 @@
-"""Every import in the package and its tests is used, and every function,
-module-level constant, class, method and dataclass field is read somewhere
-in the package."""
+"""Every import in the package and its tests is used, package modules other
+than the CLI import at module level only, and every function, module-level
+constant, class, method and dataclass field is read somewhere in the
+package."""
 
 import ast
 from pathlib import Path
@@ -37,6 +38,22 @@ def unused_imports(path: Path) -> list[str]:
 def test_no_unused_imports():
     paths = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
     found = [entry for path in paths for entry in unused_imports(path)]
+    assert found == []
+
+
+def function_imports(path: Path) -> list[str]:
+    """Imports inside a function body."""
+    tree = ast.parse(path.read_text())
+    return [f"{path.name}:{node.lineno}" for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def test_imports_at_module_level():
+    """Package modules import at module level; only the CLI imports inside
+    its subcommands, so a run loads just what its subcommand needs."""
+    found = [entry for path in sorted(PACKAGE.glob("*.py")) if path.name != "cli.py"
+             for entry in function_imports(path)]
     assert found == []
 
 

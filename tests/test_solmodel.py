@@ -41,7 +41,7 @@ def test_k_order_closed_form(sol0, sol1):
 
 def test_central_sign_identification(sol0):
     act = sol0.action
-    mat = sol0.mat_action
+    mat = act.mat
     minus = mat.mul(sol0.y, sol0.y)
     left = act.make(minus, minus, mat.identity)
     right = act.make(mat.identity, mat.identity, minus)
@@ -51,7 +51,7 @@ def test_central_sign_identification(sol0):
 
 def test_frame_relations(sol0, sol1):
     for model in (sol0, sol1):
-        mat = model.mat_action
+        mat = model.action.mat
         n = 2 ** (model.level + 2)
         xp = mat.identity
         for _ in range(n):
@@ -76,13 +76,15 @@ def test_sl2_normalizer_gens_match_sl2_side_reference(level):
 
 
 def test_model_and_reports_are_memoized(sol0, sol1, torus_report_l0, torus_report_l1,
-                                        sectional_report, radicals_report_l0,
-                                        spotcheck_report_l1, quaternion_reports):
+                                        sectional_report, sectional_report_l1,
+                                        radicals_report_l0, spotcheck_report_l1,
+                                        quaternion_reports):
     assert build_sol_model(0) is sol0
     assert build_sol_model(1) is sol1
     assert solmodel.verify_torus_sequence(0) is torus_report_l0
     assert solmodel.verify_torus_sequence(1) is torus_report_l1
-    assert solmodel.sectional_rank_certificate() is sectional_report
+    assert solmodel.sectional_rank_certificate(0) is sectional_report
+    assert solmodel.sectional_rank_certificate(1) is sectional_report_l1
     assert solmodel.verify_k_radicals_l0() is radicals_report_l0
     assert solmodel.spotcheck_l1() is spotcheck_report_l1
     for level, report in quaternion_reports.items():
@@ -96,6 +98,7 @@ def test_model_and_reports_are_memoized(sol0, sol1, torus_report_l0, torus_repor
     ("sectional_report", "sectional-rank", {"lower", "upper"}),
     ("radicals_report_l0", "verify-k-radicals", {"out_orders"}),
     ("spotcheck_report_l1", "spotcheck", {"out_order_witness"}),
+    ("sectional_report_l1", "sectional-rank", {"lower", "upper"}),
 ])
 def test_report_keys_and_check_levels(request, fixture, command, extra):
     value = request.getfixturevalue(fixture)
@@ -183,9 +186,10 @@ def test_torus_report_l1(torus_report_l1):
     assert torus_report_l1["skipped"], "uniqueness searches must be flagged at l=1"
 
 
-def test_sectional_report(sectional_report):
-    assert failing(sectional_report) == []
-    assert (sectional_report["lower"], sectional_report["upper"]) == (6, 6)
+def test_sectional_report(sectional_report, sectional_report_l1):
+    for report in (sectional_report, sectional_report_l1):
+        assert failing(report) == []
+        assert (report["lower"], report["upper"]) == (6, 6)
 
 
 @pytest.mark.parametrize("spec,rank", [("S4", 2), ("quat(8)", 2), ("D8", 2),
