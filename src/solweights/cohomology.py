@@ -31,7 +31,6 @@ from .errors import Inconclusive, UnsupportedSylow, WrongSylowShape
 from .groups import (
     FiniteGroup,
     _discrete_log_table,
-    _greedy,
     _greedy_generators,
     _prime_factors,
     abelian_invariants,
@@ -170,11 +169,11 @@ def h2_abelian_sylow(G: FiniteGroup, p: int, name: str | None = None) -> H2Certi
         # cyclic case: automorphism t -> t^k acts on H^1 and H^2 by k
         N = normalizer(G, P)
         gen = P.generators[0] if P.generators else P.identity
-        # the note lists the exponents over the greedy generators of N's
-        # sorted element set, as from_elements picks them, so that it
-        # depends on N alone and not on how N was built (N may be G)
+        # the note lists the exponents over the generators from_elements
+        # picks for N, so that it depends on N alone and not on how N was
+        # built (N may be G)
         ks = {_coset_exponent(P, {P.identity}, gen, conjugator(G.action, g)(gen)) % p
-              for g in _greedy(N.action, sorted(N.elements), N.order + 1)[0]}
+              for g in FiniteGroup.from_elements(N.action, N.elements).generators}
         dim = 1 if all(k == 1 for k in ks) else 0
         cert = H2Certificate(gname, p, dim, "cyclic-sylow-vanishing",
                              notes=[f"normalizer power exponents mod {p}: {sorted(ks)}"])

@@ -23,22 +23,23 @@ the product memo is keyed by the right factor first.
 Besides ``mul``, each action has ``right_mul(g)``, the map x -> x g with
 everything that depends on g alone worked out once: the gather of g for
 permutations, g's multiplication rows for matrices, and for triples the
-product-memo columns of g's permuted slots.  Closure, Dimino steps, coset
-labelling, quotient generators and element orders multiply long runs of
-elements on the right by one fixed element, and go through it.
+product-memo columns of g's permuted slots.  Closure (one pass over H per
+coset H r), coset labelling, quotient generators and element orders
+multiply long runs of elements on the right by one fixed element, and go
+through it.
 
 Conjugation is one map, ``conjugator(action, g)``: x -> g^-1 x g, with g^-1
 and ``right_mul(g)`` worked out once.  Every conjugation goes through it
 except ``_normalizes``, whose per-element calls in the Sylow loop would pay
 for building the map more than the two products it saves.
 
-Groups cache their full element enumeration (breadth-first closure from the
-identity, deterministic in the generator order) and structural data derived
-from it.  A ``FiniteGroup`` is append-only: its elements, generators and
-marks are fixed at construction, and its one memo ``_memo`` gains an entry
-per ``cached_per_group`` call (classes with their index table, center,
-derived and Frattini subgroups, Sylow subgroups and normalizers) on first
-use, never changed after and freed with the group.
+Groups cache their full element enumeration (Dimino's closure, coset by
+coset, deterministic in the generator order; see ``_dimino``) and
+structural data derived from it.  A ``FiniteGroup`` is append-only: its
+elements, generators and marks are fixed at construction, and its one memo
+``_memo`` gains an entry per ``cached_per_group`` call (classes with their
+index table, center, derived and Frattini subgroups, Sylow subgroups and
+normalizers) on first use, never changed after and freed with the group.
 Every operation here is a function of its inputs alone, so a shared
 memoized group gives the same results whichever caller fills its memo first.
 """
@@ -48,7 +49,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm, sqrt
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -346,8 +347,8 @@ class ConjClass:
 class FiniteGroup:
     """A finite group with full element enumeration.
 
-    Enumeration order is the breadth-first closure order from the identity,
-    deterministic given the generator order.
+    Enumeration order is ``_dimino``'s, deterministic given the generator
+    order: the list starts with <g_1..g_i> for each i.
     """
 
     def __init__(self, action: Action, generators: Sequence[Element],
@@ -368,39 +369,20 @@ class FiniteGroup:
     def generate(cls, action: Action, generators: Sequence[Element],
                  cap: int | None = None, name: str | None = None,
                  marks: dict | None = None) -> "FiniteGroup":
-        """Closure of the generators under the action, breadth first."""
-        cap = DEFAULT_CAP if cap is None else min(cap, DEFAULT_CAP)
-        identity = action.identity
-        elements = [identity]
-        index = {identity: 0}
-        mults = [action.right_mul(g) for g in generators if g != identity]
-        for current in elements:  # elements grows during the walk
-            for times in mults:
-                nxt = times(current)
-                if nxt not in index:
-                    index[nxt] = len(elements)
-                    elements.append(nxt)
-                    if len(elements) > cap:
-                        raise CapExceeded(
-                            f"closure exceeded cap {cap}"
-                            + (f" while generating {name}" if name else "")
-                        )
+        """Closure of the generators under the action, by ``_dimino``."""
+        _, elements, index = _dimino(action, generators, cap, name)
         return cls(action, generators, elements, index, name=name, marks=marks)
 
     @classmethod
     def from_elements(cls, action: Action, elements: Iterable[Element],
                       name: str | None = None, marks: dict | None = None) -> "FiniteGroup":
-        """Group from a closed element set, with a greedy small generating set.
-
-        The element list is re-enumerated in closure order of the chosen
-        generators so enumeration conventions match generated groups.
-        """
+        """Group from a closed element set on its greedy generators in sorted
+        order, picked and closed by one ``_dimino`` walk."""
         element_set = set(elements)
-        cap = len(element_set) + 1
-        gens, closed = _greedy(action, sorted(element_set), cap)
-        if closed != element_set:
+        gens, closed, index = _dimino(action, sorted(element_set), len(element_set) + 1, name)
+        if index.keys() != element_set:
             raise ValueError("element set is not closed under the group operations")
-        return cls.generate(action, gens, cap=cap, name=name, marks=marks)
+        return cls(action, gens, closed, index, name=name, marks=marks)
 
     # -- basic queries -------------------------------------------------------
 
@@ -425,8 +407,7 @@ class FiniteGroup:
         return self.action.inv(a)
 
     def element_order(self, a: Element) -> int:
-        order = 1
-        acc = a
+        order, acc = 1, a
         identity = self.action.identity
         times = self.action.right_mul(a)
         while acc != identity:
@@ -437,8 +418,7 @@ class FiniteGroup:
     def power(self, a: Element, e: int) -> Element:
         if e < 0:
             return self.power(self.action.inv(a), -e)
-        acc = self.action.identity
-        base = a
+        acc, base = self.action.identity, a
         while e:
             if e & 1:
                 acc = self.action.mul(acc, base)
@@ -452,45 +432,52 @@ class FiniteGroup:
         return all(g in other.index for g in self.generators)
 
     def subgroup(self, generators: Sequence[Element], name: str | None = None) -> "FiniteGroup":
-        for g in generators:
-            if g not in self.index:
-                raise ElementNotInGroup(f"generator not in {self!r}")
+        if not all(map(self.index.__contains__, generators)):
+            raise ElementNotInGroup(f"generator not in {self!r}")
         return FiniteGroup.generate(self.action, generators, cap=self.order + 1, name=name)
 
     def exponent(self) -> int:
         return lcm(*map(self.element_order, self.elements))
 
 
-def _greedy(action: Action, elements: Iterable[Element], cap: int) -> tuple[list[Element], set]:
-    """Greedy generators: each element not yet in the closure of the earlier
-    picks, in the given order.  Returns the picks and their closure.
+def _dimino(action: Action, candidates: Iterable[Element], cap: int | None,
+            name: str | None = None) -> tuple[list[Element], list[Element], dict[Element, int]]:
+    """Dimino's closure of the candidates, picking each one, in order, not
+    yet in the closure of the earlier picks: (picks, elements, index).
 
-    Each pick grows the closure H = <picks so far> to <H, e> by one Dimino
-    step.  <H, e> is a union of right cosets H r; the representatives r are
-    walked and, whenever r s lies outside the set for a pick s, the whole
-    coset H (r s) is new and is added at once.
+    With picks g_1, g_2, ..., the list starts with H_i = <g_1..g_i> for each
+    i.  A pick grows H = H_(i-1) by right cosets H r, each listed as H's own
+    list times r, in turn: when r s is new for a pick s, the coset H (r s)
+    is the listed coset H r times s, one pass of x -> x s over it.  That is
+    at most |G| + k x (representatives) products for k picks, against
+    |G| x k breadth first.  Every product has a pick as its right factor,
+    so the central-triple product memo, keyed by the right factor, gains
+    columns for the picks only.  A coset is added only if the list stays
+    within the cap (at most ``DEFAULT_CAP``).
     """
-    right_mul = action.right_mul
-    gens: list[Element] = []
+    cap = DEFAULT_CAP if cap is None else min(cap, DEFAULT_CAP)
+    picks: list[Element] = []
     mults: list[Callable] = []
-    closed = {action.identity}
-    for e in elements:
-        if e in closed:
+    elements = [action.identity]
+    index = {action.identity: 0}
+    for g in candidates:
+        if g in index:
             continue
-        gens.append(e)
-        mults.append(right_mul(e))
-        H = list(closed)
-        reps = [action.identity]
-        for r in reps:  # reps grows during the walk
+        picks.append(g)
+        mults.append(action.right_mul(g))
+        size, start = len(elements), 0  # H is elements[:size]
+        while start < len(elements):  # the cosets H r are elements[start:start + size]
             for times in mults:
-                x = times(r)
-                if x in closed:
+                if times(elements[start]) in index:
                     continue
-                reps.append(x)
-                closed.update(map(right_mul(x), H))
-                if len(closed) > cap:
-                    raise CapExceeded(f"closure exceeded cap {cap}")
-    return gens, closed
+                if len(elements) + size > cap:
+                    raise CapExceeded(f"closure exceeded cap {cap}"
+                                      + (f" while generating {name}" if name else ""))
+                coset = list(map(times, elements[start:start + size]))
+                index.update(zip(coset, itertools.count(len(elements))))
+                elements += coset
+            start += size
+    return picks, elements, index
 
 
 # ---------------------------------------------------------------------------
@@ -525,28 +512,42 @@ def _orbit(start, maps: Sequence[Callable],
 @cached_per_group
 def _class_data(G: FiniteGroup) -> tuple[list[ConjClass], list[int]]:
     """Conjugacy classes by orbit of representatives under generator
-    conjugation, and the class index of each element index."""
+    conjugation, and the class index of each element index.  Classes are
+    numbered, and represented, by their first element in the breadth-first
+    walk from the identity by G.generators, which stops once every element
+    has its class; so the numbering does not depend on the enumeration."""
     elements, index = G.elements, G.index
-    # the walk is over element indices, so no conjugate outlives its lookup
+    # the walks are over element indices, so no product outlives its lookup
     maps = [lambda i, conj=conjugator(G.action, g): index[conj(elements[i])]
             for g in G.generators]
+    mults = [G.action.right_mul(g) for g in G.generators if g != G.identity]
     table = [-1] * G.order
     classes: list[ConjClass] = []
-    for start, e in enumerate(elements):
-        if table[start] >= 0:
-            continue
-        orbit, _ = _orbit(start, maps)
-        for i in orbit:
-            table[i] = len(classes)
-        size = len(orbit)
-        if G.order % size:
-            raise RuntimeError("class size does not divide group order")
-        classes.append(ConjClass(rep=e, size=size, centralizer_order=G.order // size))
+    seen = bytearray(G.order)
+    seen[0] = 1
+    walk, left = [0], G.order
+    for i in walk:  # walk grows until every element has its class
+        if table[i] < 0:
+            orbit, _ = _orbit(i, maps)
+            for j in orbit:
+                table[j] = len(classes)
+            size = len(orbit)
+            if G.order % size:
+                raise RuntimeError("class size does not divide group order")
+            classes.append(ConjClass(elements[i], size, G.order // size))
+            left -= size
+            if not left:
+                break
+        for times in mults:
+            j = index[times(elements[i])]
+            if not seen[j]:
+                seen[j] = 1
+                walk.append(j)
     return classes, table
 
 
 def conjugacy_classes(G: FiniteGroup) -> list[ConjClass]:
-    """Conjugacy classes, numbered by their first element in enumeration order."""
+    """Conjugacy classes, numbered as ``_class_data`` says."""
     return _class_data(G)[0]
 
 
@@ -609,7 +610,7 @@ def _commutes_with(G: FiniteGroup, xs: Sequence[Element]) -> Callable[[Element],
 
 def _normalizes(G: FiniteGroup, g: Element, P: FiniteGroup) -> bool:
     """Whether g^-1 x g lies in P for each generator x of P, by two plain
-    products: ``sylow_subgroup`` calls this about 31,000 times for GL(4,2)
+    products: ``sylow_subgroup`` calls this about 2,700 times for GL(4,2)
     at p = 2, on P with few generators, and a ``conjugator`` per call costs more."""
     mul = G.action.mul
     ginv = G.action.inv(g)
@@ -713,27 +714,31 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> FiniteGroup:
     """A Sylow p-subgroup by the normalizer extension loop.
 
     Starting from the trivial group, repeatedly pass to the normalizer and
-    extend by the p-part of its first element whose p-power lands inside.
-    Ties are broken by enumeration order, so the result is deterministic.
+    extend by the p-part of the next element whose p-part lies outside.
+    "Next" is along one walk of the element indices, never restarted: step
+    1 while the group is trivial (G normalizes it), then the least
+    s >= |G| / golden ratio coprime to |G|, so the tests spread over the
+    enumeration instead of running along one of ``_dimino``'s contiguous
+    cosets, whose tests tend to fail together.  The result is deterministic.
     """
-    target = _p_part(G.order, p)
+    target, n = _p_part(G.order, p), G.order
+    spread = next(s for s in itertools.count(round(n * (sqrt(5) - 1) / 2)) if gcd(s, n) == 1)
     current = G.subgroup([])
+    k = 0
     while current.order < target:
-        extended = False
-        for h in G.elements:
-            if h in current.index:
-                continue
-            if not _normalizes(G, h, current):
+        step = 1 if current.order == 1 else spread
+        for _ in range(n):
+            k = (k + step) % n
+            h = G.elements[k]
+            if h in current.index or not _normalizes(G, h, current):
                 continue
             o = G.element_order(h)
-            m = o // _p_part(o, p)
-            x = G.power(h, m)  # the p-part of h
+            x = G.power(h, o // _p_part(o, p))  # the p-part of h
             if x in current.index:
                 continue
             current = G.subgroup(list(current.generators) + [x])
-            extended = True
             break
-        if not extended:
+        else:
             raise RuntimeError("Sylow extension loop stalled")
     return current
 
@@ -809,12 +814,8 @@ def quotient_group(G: FiniteGroup, N: FiniteGroup) -> FiniteGroup:
 
 @cached_per_group
 def derived_subgroup(G: FiniteGroup) -> FiniteGroup:
-    mul = G.action.mul
-    inv = G.action.inv
-    comms = set()
-    for a in G.generators:
-        for b in G.generators:
-            comms.add(mul(mul(inv(a), inv(b)), mul(a, b)))
+    mul, inv = G.action.mul, G.action.inv
+    comms = {mul(mul(inv(a), inv(b)), mul(a, b)) for a in G.generators for b in G.generators}
     return _normal_closure(G, sorted(comms))
 
 
@@ -832,13 +833,8 @@ def abelian_invariants(A: FiniteGroup) -> tuple[int, ...]:
     factors = []
     current = A
     while current.order > 1:
-        best = None
-        best_order = 0
-        for e in current.elements:
-            o = current.element_order(e)
-            if o > best_order:
-                best, best_order = e, o
-        factors.append(best_order)
+        best = max(current.elements, key=current.element_order)  # the first of maximal order
+        factors.append(current.element_order(best))
         current = quotient_group(current, current.subgroup([best]))
     return tuple(factors)
 
@@ -951,9 +947,10 @@ def subgroups(P: FiniteGroup) -> list[FiniteGroup]:
 
 
 def _greedy_generators(G: FiniteGroup) -> list[Element]:
-    """Greedy generators of G in enumeration order (a basis in that order
-    when G is elementary abelian)."""
-    return _greedy(G.action, G.elements, G.order + 1)[0]
+    """Greedy generators of G: each element, in enumeration order, that is
+    not in the closure of the earlier picks (a basis in that order when G is
+    elementary abelian)."""
+    return _dimino(G.action, G.elements, G.order + 1)[0]
 
 
 def _extend_iso(G: FiniteGroup, H: FiniteGroup, gens: list[Element],

@@ -209,9 +209,12 @@ def choice_invariance(G: FiniteGroup, runs: int = 20, seed: int = 0,
 
     Three kinds of variation: re-picking the defect-zero representative
     f(D) in each kept double coset, replacing S by a random conjugate, and
-    permuting the generator list (which changes the enumeration order and
-    everything downstream).  The rank must never move.  The f(D) re-picks
-    share the base run's coset partition; the other two recompute it.
+    permuting the generator list with a random element appended (which
+    changes the enumeration order and everything downstream; the closure
+    skips the appended element, already in the group, but ``G.generators``
+    keeps it, so the class numbering walks it too).  The rank must never
+    move.  The f(D) re-picks share the base run's coset partition; the
+    other two recompute it.
     """
     rng = random.Random(seed)
     base = robinson_matrix(G)
@@ -227,18 +230,16 @@ def choice_invariance(G: FiniteGroup, runs: int = 20, seed: int = 0,
     for kind in schedule:
         if kind == "fpick":
             data = repick(base, rng)
-            report.ranks.append(data.gram_rank())
         elif kind == "sylow":
             conj = conjugator(G.action, rng.choice(G.elements))
             S2 = FiniteGroup.from_elements(G.action, map(conj, base.sylow.elements))
             data = robinson_matrix(G, sylow=S2)
-            report.ranks.append(data.gram_rank())
         else:
             gens = list(G.generators)
             rng.shuffle(gens)
             extra = rng.choice(G.elements)
             G2 = FiniteGroup.generate(G.action, gens + [extra], cap=G.order + 1)
             data = robinson_matrix(G2)
-            report.ranks.append(data.gram_rank())
+        report.ranks.append(data.gram_rank())
         report.variations.append(kind)
     return report

@@ -48,6 +48,24 @@ def test_defect_zero_single_group(capsys):
     assert report["results"]["x_count"] == 1
 
 
+# class sizes of `defect-zero --json`, in report order
+DEFECT_ZERO_CLASS_SIZES = {
+    "GL(4,2)": [1, 2520, 105, 210, 1344, 1344, 1680, 1260, 1344, 2880, 3360, 2880, 112, 1120],
+    "m324": [1, 6, 27, 9, 18, 6, 18, 36, 18, 27, 54, 6, 2, 18, 54, 6, 18],
+    "wr(S3,S3)": [1, 9, 6, 18, 72, 27, 36, 54, 216, 12, 36, 144, 54, 36, 27, 54, 36, 162,
+                  108, 8, 108, 72],
+}
+
+
+@pytest.mark.parametrize("spec", DEFECT_ZERO_CLASS_SIZES)
+def test_defect_zero_class_order(capsys, spec):
+    code, out = run_cli(["--json", "defect-zero", "--group", spec], capsys)
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["classes"] == [{"size": n, "centralizer_order": results["order"] // n}
+                                  for n in DEFECT_ZERO_CLASS_SIZES[spec]]
+
+
 def test_cohomology_command(capsys):
     code, out = run_cli(["--json", "cohomology", "--group", "m108",
                          "--prime", "3"], capsys)

@@ -358,6 +358,44 @@ def count_products(monkeypatch, cls):
     return calls
 
 
+def dimino_sizes(act, gens, elements):
+    """Check the prefix contract of a closure of gens and return the orders
+    |H_0| = 1, |H_1|, ... of H_i = <first i picks>, a pick being a generator
+    outside the closure of the earlier ones: elements[:|H_i|] is H_i, and
+    the rest of H_i follows as cosets H_(i-1) r, each listed as H_(i-1)'s
+    own list times r."""
+    picks, sizes = [], [1]
+    for g in gens:
+        if g in elements[:sizes[-1]]:
+            continue
+        picks.append(g)
+        closed = set(reference_closure(act, picks))
+        size, new = sizes[-1], len(closed)
+        assert set(elements[:new]) == closed
+        H = elements[:size]
+        for start in range(size, new, size):
+            r = elements[start]
+            assert elements[start:start + size] == [act.mul(h, r) for h in H]
+        sizes.append(new)
+    assert sizes[-1] == len(elements)
+    return sizes
+
+
+def dimino_bound(sizes):
+    """|G| + k * (representatives): each of the k picks multiplies every
+    coset representative of every step."""
+    reps = sum(new // old for old, new in zip(sizes, sizes[1:]))
+    return sizes[-1] + (len(sizes) - 1) * reps
+
+
+def elements_at_raise(excinfo):
+    """The element list of the closure that raised."""
+    tb = excinfo.tb
+    while tb.tb_frame.f_code.co_name != "_dimino":
+        tb = tb.tb_next
+    return tb.tb_frame.f_locals["elements"]
+
+
 @pytest.mark.parametrize("case", ["gl42", "gf25", "sylow_l0"])
 def test_generate_matches_reference_closure(monkeypatch, sol0, case):
     if case == "gl42":
@@ -378,15 +416,38 @@ def test_generate_matches_reference_closure(monkeypatch, sol0, case):
     want = reference_closure(act, gens)
     calls = count_products(monkeypatch, type(act))
     G = FiniteGroup.generate(act, gens, name=name)
-    k = sum(g != act.identity for g in gens)
-    assert calls[0] == G.order * k
+    products = calls[0]
     monkeypatch.undo()
-    assert G.elements == want
-    assert G.index == {x: i for i, x in enumerate(want)}
+    assert G.order == len(want)
+    assert set(G.elements) == set(want)
+    assert G.index == {x: i for i, x in enumerate(G.elements)}
+    assert G.generators == tuple(gens)
+    sizes = dimino_sizes(act, gens, G.elements)
+    assert products <= dimino_bound(sizes)
     cap = len(want) // 3
     with pytest.raises(CapExceeded) as err:
         FiniteGroup.generate(act, gens, cap=cap, name=name)
     assert str(err.value) == f"closure exceeded cap {cap} while generating {name}"
+    # a cap inside the last coset: that coset is never added
+    cap = sizes[-1] - sizes[-2] // 2
+    with pytest.raises(CapExceeded) as err:
+        FiniteGroup.generate(act, gens, cap=cap, name=name)
+    assert str(err.value) == f"closure exceeded cap {cap} while generating {name}"
+    assert cap - sizes[-2] < len(elements_at_raise(err)) <= cap
+
+
+@pytest.mark.parametrize("case", ["gl42", "sylow_l0"])
+def test_from_elements_closes_once(monkeypatch, sol0, case):
+    # one walk picks the generators and closes the group
+    G = named_group("GL(4,2)") if case == "gl42" else sol0.sylow
+    elements = list(G.elements)
+    random.Random(5).shuffle(elements)
+    calls = count_products(monkeypatch, type(G.action))
+    H = FiniteGroup.from_elements(G.action, elements)
+    products = calls[0]
+    monkeypatch.undo()
+    assert set(H.elements) == set(G.elements)
+    assert products <= dimino_bound(dimino_sizes(G.action, H.generators, H.elements))
 
 
 def ref_greedy(action, elements):
@@ -452,6 +513,20 @@ def test_class_sizes_sum_and_centralizer_product():
         assert sum(c.size for c in classes) == G.order
         for c in classes:
             assert c.size * c.centralizer_order == G.order
+
+
+@pytest.mark.parametrize("spec", ["GL(4,2)", "m324", "wr(S3,S3)", "S7", "S(l=0)"])
+def test_classes_numbered_by_breadth_first_appearance(sol0, spec):
+    # classes and their reps follow the breadth-first closure order by the
+    # generators, whatever order the elements are enumerated in
+    G = sol0.sylow if spec == "S(l=0)" else named_group(spec)
+    classes, table = conjugacy_classes(G), class_index_table(G)
+    firsts = {}
+    for x in reference_closure(G.action, G.generators):
+        firsts.setdefault(table[G.index[x]], x)
+    assert list(firsts) == list(range(len(classes)))
+    assert [c.rep for c in classes] == list(firsts.values())
+    assert [c.size for c in classes] == [table.count(i) for i in range(len(classes))]
 
 
 # -- orbits -----------------------------------------------------------------------
