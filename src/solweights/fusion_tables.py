@@ -3,10 +3,11 @@
 The four tables and the two Hasse diagrams are shipped as structured text
 under ``data/``; they are source-of-truth inputs for the parts of the
 2-local structure that this package does not rebuild from scratch (the
-spin-group side).  Loading validates row counts, descriptor resolvability,
-order-exponent expressions, the column dichotomy of the full system against
-the two local systems, and the exponent consistency between tables and
-diagrams.
+spin-group side).  Loading validates row counts, the descriptors (each is
+checked against the spec grammar of ``zoo``; its group is built on first
+read, by :func:`resolve_out_descriptor`), order-exponent expressions, the
+column dichotomy of the full system against the two local systems, and the
+exponent consistency between tables and diagrams.
 
 Weight counts evaluate the defect-zero block count of every resolved outer
 automorphism group in a column and sum them; ``solmodel.bound_check`` holds
@@ -25,7 +26,7 @@ from importlib import resources
 from .errors import UnknownSpec, ValidationFailure
 from .groups import FiniteGroup, cached_per_cap
 from .robinson import defect_zero_block_count
-from .zoo import named_group, split_top
+from .zoo import named_group, spec_builder, split_top
 
 SYSTEMS = ("H", "K", "F")
 
@@ -136,7 +137,10 @@ def _parse_table(text: str) -> list[TableRow]:
 
 @functools.lru_cache(maxsize=None)
 def load_tables() -> dict[str, list[TableRow]]:
-    """Load and validate all four tables."""
+    """Load and validate all four tables.
+
+    Descriptors are checked against the spec grammar; groups are built on
+    first read, so loading closes no group."""
     tables = {
         "l0": _parse_table(_read_data("table_l0.tsv")),
         "k_lpos": _parse_table(_read_data("table_k_lpos.tsv")),
@@ -152,12 +156,10 @@ def load_tables() -> dict[str, list[TableRow]]:
                 if desc is None:
                     continue
                 try:
-                    G = resolve_out_descriptor(desc)
+                    spec_builder(_parse_descriptor(desc))
                 except UnknownSpec as exc:
                     raise ValidationFailure(
                         f"table {key} row {row.label}: {exc}") from exc
-                if G.order <= 0:
-                    raise ValidationFailure(f"table {key} row {row.label}: empty group")
             for l in (0, 1, 2):
                 if row.order_exponent(l) <= 0:
                     raise ValidationFailure(

@@ -6,16 +6,21 @@ pointing at distinguished elements or subgroup generators that later modules
 need (direct-product factors, the wreath base, the canonical rank-3 basis of
 the 3-torsion in the order-108/324 semidirect products, and so on).
 
-Spec grammar understood by :func:`named_group`:
+One spec grammar, in :func:`spec_builder`, both checks specs and builds
+groups: it parses and range-checks a spec and returns a builder without
+closing anything, and :func:`named_group` calls that builder, memoized per
+spec and cap.  The grammar:
 
-    S<n>  A<n>  C<n>  D<2n> (2n >= 6)  GL(<n>,2)  SL2(<q>)  quat(<2^k>)
+    S<n>  A<n>  C<n> (n >= 1)  D<2n> (2n >= 6)  GL(<n>,2) (n >= 2)
+    SL2(<q>) (q = 5, 25)  quat(<2^k>) (8, 16, 32, 64)
     wr(<spec>,<spec>)  x(<spec>,<spec>)  dih(C3xC3)  m108  m324  1
 """
 
 from __future__ import annotations
 
+import functools
 import re
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import UnknownSpec
 from .fields import field_tower, tower_field
@@ -31,8 +36,6 @@ def trivial_group() -> FiniteGroup:
 
 
 def cyclic_group(n: int) -> FiniteGroup:
-    if n < 1:
-        raise UnknownSpec(f"cyclic order must be at least 1, got {n}")
     if n == 1:
         return trivial_group()
     act = PermAction(n)
@@ -64,10 +67,8 @@ def alternating_group(n: int) -> FiniteGroup:
 def dihedral_group(order: int) -> FiniteGroup:
     """D_<order>, dihedral of the given (even) order, on order/2 points.
 
-    The action is faithful only from order 6 on, so order 4 is rejected; the
-    Klein four-group is ``x(C2,C2)``."""
-    if order % 2 or order < 6:
-        raise UnknownSpec(f"dihedral order must be even and >= 6, got {order}")
+    The action is faithful only from order 6 on, so the spec grammar rejects
+    ``D4``; the Klein four-group is ``x(C2,C2)``."""
     n = order // 2
     act = PermAction(n)
     rot = tuple((i + 1) % n for i in range(n))
@@ -77,8 +78,6 @@ def dihedral_group(order: int) -> FiniteGroup:
 
 def gl_n_2(n: int) -> FiniteGroup:
     """GL_n(2) acting on the 2^n - 1 nonzero vectors (bitmask - 1 as point)."""
-    if n < 2:
-        raise UnknownSpec(f"GL(n,2) needs n >= 2, got {n}")
     size = (1 << n) - 1
     act = PermAction(size)
 
@@ -273,8 +272,6 @@ def quaternion_frame(level: int) -> QuaternionFrame:
 
 def quaternion_group(order: int) -> FiniteGroup:
     """Generalized quaternion group of the given order (8, 16, 32, or 64)."""
-    if order not in (8, 16, 32, 64):
-        raise UnknownSpec(f"quaternion order must be 8, 16, 32 or 64, got {order}")
     return quaternion_frame(order.bit_length() - 4).R
 
 
@@ -307,52 +304,65 @@ def split_top(s: str, sep: str) -> list[str]:
     return [p.strip() for p in parts]
 
 
-@cached_per_cap
-def named_group(spec: str) -> FiniteGroup:
-    """Resolve a group spec string; results are cached per spec."""
+_FIXED = {"1": trivial_group, "m108": m108, "m324": m324,
+          "dih(C3xC3)": generalized_dihedral_c3c3}
+_LETTER_FAMILIES = {"S": symmetric_group, "A": alternating_group,
+                    "C": cyclic_group, "D": dihedral_group}
+
+
+def spec_builder(spec: str) -> Callable[[], FiniteGroup]:
+    """Parse and range-check a group spec, and return a zero-argument builder.
+
+    This is the one place that decides whether a spec is valid: it raises
+    UnknownSpec for a spec outside the grammar and builds no group, so a
+    spec can be checked without closing anything.  The product builders
+    resolve their factors through :func:`named_group`, so shared factors
+    stay memoized."""
     s = spec.strip()
     if not s:
         raise UnknownSpec("empty group spec")
-    if s == "1":
-        return trivial_group()
-    if s in ("m108", "m324"):
-        return m108() if s == "m108" else m324()
-    if s == "dih(C3xC3)":
-        return generalized_dihedral_c3c3()
-    m = re.fullmatch(r"S(\d+)", s)
+    if s in _FIXED:
+        return _FIXED[s]
+    m = re.fullmatch(r"([SACD])(\d+)", s)
     if m:
-        return symmetric_group(int(m.group(1)))
-    m = re.fullmatch(r"A(\d+)", s)
-    if m:
-        return alternating_group(int(m.group(1)))
-    m = re.fullmatch(r"C(\d+)", s)
-    if m:
-        return cyclic_group(int(m.group(1)))
-    m = re.fullmatch(r"D(\d+)", s)
-    if m:
-        return dihedral_group(int(m.group(1)))
+        letter, n = m.group(1), int(m.group(2))
+        if letter == "C" and n < 1:
+            raise UnknownSpec(f"cyclic order must be at least 1, got {n}")
+        if letter == "D" and (n % 2 or n < 6):
+            raise UnknownSpec(f"dihedral order must be even and >= 6, got {n}")
+        return functools.partial(_LETTER_FAMILIES[letter], n)
     m = re.fullmatch(r"GL\((\d+),2\)", s)
     if m:
-        return gl_n_2(int(m.group(1)))
+        n = int(m.group(1))
+        if n < 2:
+            raise UnknownSpec(f"GL(n,2) needs n >= 2, got {n}")
+        return functools.partial(gl_n_2, n)
     m = re.fullmatch(r"SL2\((\d+)\)", s)
     if m:
         q = int(m.group(1))
         if q not in _SL2_LEVELS:
             raise UnknownSpec(f"SL2 supported for q in {sorted(_SL2_LEVELS)}, got {q}")
-        return sl2_group(_SL2_LEVELS[q])
+        return functools.partial(sl2_group, _SL2_LEVELS[q])
     m = re.fullmatch(r"quat\((\d+)\)", s)
     if m:
-        return quaternion_group(int(m.group(1)))
-    m = re.fullmatch(r"wr\((.*)\)", s)
+        order = int(m.group(1))
+        if order not in (8, 16, 32, 64):
+            raise UnknownSpec(f"quaternion order must be 8, 16, 32 or 64, got {order}")
+        return functools.partial(quaternion_group, order)
+    m = re.fullmatch(r"(wr|x)\((.*)\)", s)
     if m:
-        args = split_top(m.group(1), ",")
+        op = m.group(1)
+        args = split_top(m.group(2), ",")
         if len(args) != 2:
-            raise UnknownSpec(f"wr takes two arguments: {spec!r}")
-        return wreath_product(named_group(args[0]), named_group(args[1]), name=s)
-    m = re.fullmatch(r"x\((.*)\)", s)
-    if m:
-        args = split_top(m.group(1), ",")
-        if len(args) != 2:
-            raise UnknownSpec(f"x takes two arguments: {spec!r}")
-        return direct_product(named_group(args[0]), named_group(args[1]), name=s)
+            raise UnknownSpec(f"{op} takes two arguments: {spec!r}")
+        for arg in args:
+            spec_builder(arg)
+        product = wreath_product if op == "wr" else direct_product
+        return lambda: product(named_group(args[0]), named_group(args[1]), name=s)
     raise UnknownSpec(f"unrecognized group spec {spec!r}")
+
+
+@cached_per_cap
+def named_group(spec: str) -> FiniteGroup:
+    """Resolve a group spec string; results are cached per spec."""
+    return spec_builder(spec)()

@@ -190,6 +190,17 @@ def test_cap_exceeded_exit_three(capsys):
     assert main(["--cap", "10", "defect-zero", "--group", "S8"]) == 3
 
 
+@pytest.mark.parametrize("argv,group", [
+    (["weights", "--system", "F", "--l", "0"], "A7"),
+    (["table-def0"], "GL(4,2)"),
+])
+def test_cap_stops_descriptor_groups_built_on_first_read(argv, group, capsys):
+    # load_tables builds no group; the lowered cap stops the run where the
+    # weight count or the table first reads its group
+    assert main(["--cap", "1000", "--json", *argv]) == 3
+    assert f"closure exceeded cap 1000 while generating {group}" in capsys.readouterr().err
+
+
 def test_env_cap(monkeypatch, capsys):
     monkeypatch.setenv("SOLWEIGHTS_CAP", "10")
     assert main(["defect-zero", "--group", "S8"]) == 3

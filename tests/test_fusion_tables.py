@@ -1,6 +1,6 @@
 import pytest
 
-from solweights import solmodel
+from solweights import fusion_tables, groups, solmodel
 from solweights.errors import ValidationFailure
 from solweights.fusion_tables import (
     eval_exponent,
@@ -18,6 +18,36 @@ def test_row_counts():
     assert len(tables["k_lpos"]) == 11
     assert len(tables["h_lpos"]) == 18
     assert len(tables["f_lpos"]) == 17
+
+
+@pytest.mark.parametrize("bad", ["Foo", "D4", "GL4(2) x C0"])
+def test_unknown_descriptor_fails_load(monkeypatch, bad):
+    # "Foo" fails the descriptor parser; "D4" and "C0" parse, and the spec
+    # grammar rejects them
+    read = fusion_tables._read_data
+
+    def with_bad_cell(name):
+        text = read(name)
+        if name == "table_l0.tsv":
+            text = text.replace("A\t4\t-\t-\tGL4(2)\t", f"A\t4\t-\t-\t{bad}\t")
+        return text
+
+    monkeypatch.setattr(fusion_tables, "_read_data", with_bad_cell)
+    with pytest.raises(ValidationFailure, match=r"^table l0 row A: "):
+        fusion_tables.load_tables.__wrapped__()
+
+
+def test_load_tables_closes_no_group(monkeypatch):
+    def no_closure(*args):
+        raise AssertionError("load_tables closed a group")
+
+    monkeypatch.setattr(groups, "_dimino", no_closure)
+    # a cap no memo holds groups for, so a named_group call could not be
+    # answered from an earlier test's cache
+    monkeypatch.setattr(groups, "DEFAULT_CAP", groups.DEFAULT_CAP - 1)
+    tables = fusion_tables.load_tables.__wrapped__()
+    assert {key: len(rows) for key, rows in tables.items()} == {
+        "l0": 10, "k_lpos": 11, "h_lpos": 18, "f_lpos": 17}
 
 
 def test_eval_exponent():

@@ -2,8 +2,9 @@ import pytest
 
 from solweights import zoo
 from solweights.errors import UnknownSpec
+from solweights.fusion_tables import _parse_descriptor, load_tables
 from solweights.groups import FiniteGroup, conjugacy_classes, isomorphic
-from solweights.zoo import named_group, quaternion_frame, sl2_group, wreath_product
+from solweights.zoo import named_group, quaternion_frame, sl2_group, spec_builder, wreath_product
 
 
 def gl_order(n):
@@ -114,10 +115,28 @@ def test_quaternion_frame_q8_at_level_zero():
     assert quaternion_frame(0) is quaternion_frame(0)
 
 
+REJECTED_SPECS = ["", "Q8", "GL(4,3)", "GL(1,2)", "C0", "D4", "D7", "quat(4)", "SL2(7)",
+                  "wr(S3)", "x(S3,S3,S3)"]
+# every table descriptor, plus x(C2,D8), which verify_torus_sequence reads,
+# and its factor D8
+ACCEPTED_SPECS = sorted({_parse_descriptor(desc) for rows in load_tables().values()
+                         for row in rows for desc in row.out.values() if desc is not None}
+                        | {"D8", "x(C2,D8)"})
+
+
 def test_unknown_specs():
-    for bad in ("Q8", "GL(4,3)", "wr(S3)", "SL2(7)", ""):
+    # the grammar rejects exactly what named_group rejects
+    for bad in REJECTED_SPECS:
+        with pytest.raises(UnknownSpec):
+            spec_builder(bad)
         with pytest.raises(UnknownSpec):
             named_group(bad)
+
+
+@pytest.mark.parametrize("spec", ACCEPTED_SPECS)
+def test_grammar_accepts_what_named_group_builds(spec):
+    assert callable(spec_builder(spec))
+    assert named_group(spec).order >= 1
 
 
 @pytest.mark.parametrize("order", range(6, 21, 2))
